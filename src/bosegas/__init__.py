@@ -41,7 +41,7 @@ from .moments import (
     top_cluster_integral,
 )
 from .partitions import Partition, cluster_expand, enumerate_partitions, multiplicity_constant
-from .quadrature import ContourPlan, QuadratureResult, integrate_tensor
+from .quadrature import ContourPlan, FactorTerm, QuadratureResult, integrate_tensor
 from .scaled import ScaledComplex, rel_diff
 from .she_mc import GridSpec, MCEstimate, SimulatedField, estimate_moment, simulate_field
 from .spectral import (
@@ -59,6 +59,7 @@ from .spectral import (
 __all__ = [
     "BosegasError",
     "ContourPlan",
+    "FactorTerm",
     "GapReport",
     "GridSpec",
     "MCEstimate",

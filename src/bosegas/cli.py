@@ -27,6 +27,7 @@ from . import __version__
 from .errors import BosegasError, UnsupportedDimensionError
 from .kernel import cauchy_determinant
 from .moments import (
+    MAX_SUM_SIZE,
     MomentRequest,
     asymptotic_ratio,
     auto_cluster_plan,
@@ -40,7 +41,7 @@ from .moments import (
     optimal_theta,
 )
 from .partitions import Partition, enumerate_partitions
-from .quadrature import QuadratureResult
+from .quadrature import QuadratureResult, check_grid_size
 from .scaled import ScaledComplex
 from .spectral import SpacePoints, verify_gap
 
@@ -105,12 +106,15 @@ def _cmd_moment(parser, args) -> int:
                      half_width=args.half_width)
     rows: list[tuple[str, QuadratureResult]] = []
     if args.route == "partition":
-        if pts.n > 4:
+        if pts.n > MAX_SUM_SIZE:
             raise UnsupportedDimensionError(
-                f"full partition sum supports n <= 4, got n={pts.n}"
+                f"full partition sum supports n <= {MAX_SUM_SIZE}, got n={pts.n}"
             )
-        for p in enumerate_partitions(pts.n):
-            plan = auto_cluster_plan(t, p, pts, **overrides)
+        plans = [(p, auto_cluster_plan(t, p, pts, **overrides))
+                 for p in enumerate_partitions(pts.n)]
+        for p, plan in plans:  # refuse an oversize grid before any work
+            check_grid_size(plan, p.length)
+        for p, plan in plans:
             res = cluster_integral(MomentRequest(t, pts, plan=plan), p)
             rows.append((str(p), res))
         total = combine_results(r for _, r in rows)
@@ -287,7 +291,10 @@ def _suite_mc(lines: list[str], seed: int) -> bool:
 def _cmd_verify(parser, args) -> int:
     if args.strict and args.seed is None and args.suite in (None, "mc"):
         parser.error("--strict verification of the mc suite needs an explicit --seed")
-    suites = [args.suite] if args.suite else ["gap", "routes", "determinant", "theta", "mc"]
+    if args.suite:
+        suites = [args.suite]
+    else:
+        suites = ["gap", "routes", "determinant", "theta"] + (["mc"] if args.strict else [])
     lines: list[str] = []
     all_ok = True
     for name in suites:
@@ -339,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run self-check suites")
     v.add_argument("--suite", choices=("gap", "routes", "determinant", "theta", "mc"),
-                   help="run one suite (default: all)")
+                   help="run one suite (default: the deterministic ones, plus mc "
+                        "under --strict)")
     v.add_argument("--seed", type=int, help="seed for the mc suite")
     v.add_argument("--strict", action="store_true",
                    help="refuse implicit defaults (mc suite then requires --seed)")

@@ -1,4 +1,4 @@
-"""Symmetrized permutation kernel and cluster integrand.
+"""Symmetrized permutation kernel, cluster determinant and cluster integrand.
 
 The n-point kernel is a sum over permutations sigma of
 
@@ -17,9 +17,15 @@ out of n!), and within-cluster pair differences are kept as exact small
 integers so the dropped terms really are exact zeros — the unfiltered sum is
 then bit-identical to the filtered one.
 
-Everything is batch-friendly: base points may be (l, m) arrays of contour
-nodes, and per-permutation exponents are renormalized against the largest
-surviving exponent before exponentiation (scaled-arithmetic contract).
+Two evaluations of the cluster integrand det[1/(w_i + lambda_i - w_j)] *
+K / mult share those tables:
+  * cluster_integrand (and clustered_kernel, cluster_determinant) evaluates
+    it at one point, with the determinant by pivoted LU: the oracle;
+  * cluster_integrand_batch hands integrate_tensor the factored form.  Each
+    surviving permutation is one term: its exponent is a per-line quadratic
+    plus a per-line linear part, its cross-cluster ratios are line-pair
+    tables, and the determinant in Cauchy product form is the constant
+    1/prod(lambda_i) times one table per line pair.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import numpy as np
 
 from .errors import NearSingularityError, NumericsError, UnsupportedDimensionError
 from .partitions import Partition, cluster_slots
+from .quadrature import FactorTerm
 from .scaled import ScaledComplex
 from .spectral import SpacePoints
 
@@ -135,6 +142,19 @@ def surviving_permutations(p: Partition) -> tuple[tuple[int, ...], ...]:
     return tuple(t.perm for t in _tables(p.parts).terms)
 
 
+def _cross_ratio(den, key, min_separation):
+    """(den - 1)/den for the cross-cluster pair key = (cu, cv, d), where den is
+    w_cu - w_cv + d at every node; refuses nodes too close to its pole."""
+    closest = float(np.min(np.abs(den)))
+    if closest < min_separation:
+        cu, cv, d = key
+        raise NearSingularityError(
+            f"coordinate pair from clusters {cu},{cv} at offset difference {d} "
+            f"came within {closest:.3e} of a kernel pole (floor {min_separation:.1e})"
+        )
+    return (den - 1.0) / den
+
+
 def _clustered_terms(t, x_sorted, parts, W, short_circuit=True, min_separation=DEFAULT_MIN_SEPARATION):
     """Batch kernel on a cluster layout: W is (l, m) base points.
 
@@ -152,16 +172,8 @@ def _clustered_terms(t, x_sorted, parts, W, short_circuit=True, min_separation=D
     keys = tables.cross_keys if short_circuit else _tables_unfiltered(parts).cross_keys
 
     # cross-cluster pair ratios, one array per distinct (cluster_u, cluster_v, d)
-    ratios = {}
-    for cu, cv, d in keys:
-        den = (W[cu] - W[cv]) + d
-        closest = float(np.min(np.abs(den)))
-        if closest < min_separation:
-            raise NearSingularityError(
-                f"coordinate pair from clusters {cu},{cv} at offset difference {d} "
-                f"came within {closest:.3e} of a kernel pole (floor {min_separation:.1e})"
-            )
-        ratios[(cu, cv, d)] = (den - 1.0) / den
+    ratios = {(cu, cv, d): _cross_ratio((W[cu] - W[cv]) + d, (cu, cv, d), min_separation)
+              for cu, cv, d in keys}
 
     Z = np.empty((n, W.shape[1]), dtype=complex)
     for a, (k, off) in enumerate(slots):
@@ -257,17 +269,12 @@ def permutation_kernel(t, x, z, *, min_separation=DEFAULT_MIN_SEPARATION) -> Sca
 def cluster_determinant(w, parts) -> complex:
     """det of the l x l cluster matrix [1/(w_i + lambda_i - w_j)] by pivoted LU."""
     parts = parts.parts if isinstance(parts, Partition) else tuple(parts)
-    W = np.asarray(w, dtype=complex).reshape(len(parts), 1)
-    det = complex(_cluster_determinant_batch(W, parts)[0])
+    w = np.asarray(w, dtype=complex).reshape(len(parts))
+    lam = np.asarray(parts, dtype=float)
+    det = complex(np.linalg.det(1.0 / ((w[:, None] + lam[:, None]) - w[None, :])))
     if not (math.isfinite(det.real) and math.isfinite(det.imag)) or det == 0:
         raise NumericsError(f"cluster matrix singular for w={list(w)}, parts={parts}: det={det}")
     return det
-
-
-def _cluster_determinant_batch(W, parts):
-    lam = np.asarray(parts, dtype=float)
-    A = 1.0 / ((W[:, None, :] + lam[:, None, None]) - W[None, :, :])  # (i, j, m)
-    return np.linalg.det(np.moveaxis(A, 2, 0))
 
 
 def cauchy_determinant(u, v) -> complex:
@@ -294,16 +301,62 @@ def cluster_integrand(t, x, partition: Partition, w) -> ScaledComplex:
 
 
 def cluster_integrand_batch(t, x, partition: Partition, min_separation=DEFAULT_MIN_SEPARATION):
-    """Vectorized integrand f(W) -> (mantissa, log_scale) for integrate_tensor."""
+    """Factored integrand f(Z) -> FactorTerms for integrate_tensor, Z of shape
+    (l, N) holding each line's base points: one term per surviving permutation.
+
+    Term sigma is scalar/(mult * prod lambda) times, on line k,
+    exp(sum over cluster k's offsets o of t/2 (w + o)^2 + c_k w + d_k) with
+    c_k, d_k collecting the x_(i) that sigma sends to cluster k, times one
+    table per line pair i < j: the Cauchy factor of the cluster determinant,
+        (d + lambda_i - lambda_j)(-d) / ((d + lambda_i)(lambda_j - d)),
+    d = w_i - w_j, and the cross-cluster ratios sigma places on that pair.
+    """
     x_sorted = np.asarray(SpacePoints.of(x).ordered)
     if x_sorted.size != partition.n:
         raise ValueError(f"got {x_sorted.size} points for partition of {partition.n}")
     parts = partition.parts
-    inv_mult = 1.0 / partition.multiplicity
+    tables = _tables(parts)
+    ell = len(parts)
+    base = 1.0 / (partition.multiplicity * math.prod(parts))
+    line_pairs = [(i, j) for i in range(ell) for j in range(i + 1, ell)]
+    layout = []  # per term: coef, per-line (c_k, d_k), per line pair its cross keys
+    for term in tables.terms:
+        lin = [[0.0, 0.0] for _ in parts]
+        for i, a in enumerate(term.perm):
+            k, off = tables.slots[a]
+            lin[k][0] += x_sorted[i]
+            lin[k][1] += x_sorted[i] * off
+        keys = {pair: tuple(key for key in term.cross if tuple(sorted(key[:2])) == pair)
+                for pair in line_pairs}
+        layout.append((term.scalar * base, lin, keys))
 
-    def f(W):
-        mant, logs = _clustered_terms(t, x_sorted, parts, W, min_separation=min_separation)
-        det = _cluster_determinant_batch(W, parts)
-        return mant * det * inv_mult, logs
+    def f(Z):
+        quad = [(0.5 * t) * sum((Z[k] + off) * (Z[k] + off) for off in range(lam))
+                for k, lam in enumerate(parts)]
+        ratios = {}
+        for cu, cv, d in tables.cross_keys:  # tables indexed (node on min, node on max)
+            den = (Z[cu][:, None] - Z[cv][None, :] if cu < cv
+                   else Z[cu][None, :] - Z[cv][:, None]) + d
+            ratios[cu, cv, d] = _cross_ratio(den, (cu, cv, d), min_separation)
+        cauchy = {}
+        for i, j in line_pairs:
+            d = Z[i][:, None] - Z[j][None, :]
+            li, lj = parts[i], parts[j]
+            cauchy[i, j] = ((d + (li - lj)) * -d) / ((d + li) * (lj - d))
+        products = {}  # cauchy factor times cross ratios, shared between terms
+        out = []
+        for coef, lin, keys in layout:
+            pairs = {}
+            for pair, pair_keys in keys.items():
+                table = products.get((pair, pair_keys))
+                if table is None:
+                    table = cauchy[pair]
+                    for key in pair_keys:
+                        table = table * ratios[key]
+                    products[pair, pair_keys] = table
+                pairs[pair] = table
+            exps = tuple(quad[k] + c * Z[k] + d for k, (c, d) in enumerate(lin))
+            out.append(FactorTerm(exps, pairs, coef))
+        return out
 
     return f

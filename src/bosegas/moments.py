@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedDimensionError
+from .errors import NearSingularityError, UnsupportedDimensionError
 from .kernel import DEFAULT_MIN_SEPARATION, cluster_integrand_batch
 from .partitions import Partition, enumerate_partitions
-from .quadrature import ContourPlan, QuadratureResult, integrate_tensor
+from .quadrature import MAX_LINES, ContourPlan, FactorTerm, QuadratureResult, integrate_tensor
 from .scaled import ScaledComplex
 from .spectral import SpacePoints, log_ground_state, lyapunov_exponent, optimal_theta
 
@@ -123,9 +123,10 @@ def cluster_integral(req: MomentRequest, p: Partition,
     """One partition's contour integral (the term nu_lambda of the expansion)."""
     if p.n != req.n:
         raise ValueError(f"partition of {p.n} against {req.n} points")
-    if p.length > 4:
+    if p.length > MAX_LINES:
         raise UnsupportedDimensionError(
-            f"tensor quadrature supports at most 4 contour lines, partition {p} needs {p.length}"
+            f"tensor quadrature supports at most {MAX_LINES} contour lines, "
+            f"partition {p} needs {p.length}"
         )
     if p.n > MAX_TOP_SIZE:
         raise UnsupportedDimensionError(f"cluster integrals support n <= {MAX_TOP_SIZE}")
@@ -231,26 +232,27 @@ def default_abscissas(n: int, t: float, x, spacing: float = DEFAULT_NESTED_SPACI
 
 
 def _nested_integrand(t, x_sorted, min_separation):
+    """Factored nested integrand: line k carries exp(t/2 w^2 + x_(k) w), each
+    pair i < j the table (w_i - w_j)/(w_i - w_j - 1)."""
     npts = len(x_sorted)
-    i_idx, j_idx = np.triu_indices(npts, 1)
 
-    def f(W):
-        e = (0.5 * t) * np.sum(W * W, axis=0) + x_sorted @ W
-        if npts == 1:
-            return np.exp(1j * e.imag), e.real
-        d = W[i_idx] - W[j_idx]
-        den = d - 1.0
-        # poles sit at pair gaps of exactly 1; the plan keeps them at vertical
-        # distance |gap - 1| but vet every node anyway
-        closest = float(np.min(np.abs(den)))
-        if closest < min_separation:
-            from .errors import NearSingularityError
-
-            raise NearSingularityError(
-                f"nested contours came within {closest:.3e} of a pole (floor {min_separation:.1e})"
-            )
-        pref = np.prod(d / den, axis=0)
-        return pref * np.exp(1j * e.imag), e.real
+    def f(Z):
+        exps = tuple((0.5 * t) * (Z[k] * Z[k]) + x_sorted[k] * Z[k] for k in range(npts))
+        pairs = {}
+        for i in range(npts):
+            for j in range(i + 1, npts):
+                d = Z[i][:, None] - Z[j][None, :]
+                den = d - 1.0
+                # poles sit at pair gaps of exactly 1; the plan keeps them at
+                # vertical distance |gap - 1| but vet every node pair anyway
+                closest = float(np.min(np.abs(den)))
+                if closest < min_separation:
+                    raise NearSingularityError(
+                        f"nested contours came within {closest:.3e} of a pole "
+                        f"(floor {min_separation:.1e})"
+                    )
+                pairs[i, j] = d / den
+        return (FactorTerm(exps, pairs),)
 
     return f
 

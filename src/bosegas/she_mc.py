@@ -167,12 +167,14 @@ def estimate_moment(grid: GridSpec, points, replicas: int, seed: int) -> MCEstim
     interior = grid.n_cells - 2
     samples = np.empty(replicas)
     clipped = 0
+    # noise is drawn in place into one batch buffer, so peak memory is one
+    # batch however the allocator reuses freed blocks
+    buffer = np.empty((min(_BATCH, replicas), grid.n_steps, interior))
     for start in range(0, replicas, _BATCH):
         stop = min(start + _BATCH, replicas)
-        blocks = np.stack([
-            replica_generator(seed, r).standard_normal((grid.n_steps, interior))
-            for r in range(start, stop)
-        ])
+        blocks = buffer[: stop - start]
+        for block, r in zip(blocks, range(start, stop)):
+            replica_generator(seed, r).standard_normal(out=block)
         z, c = _evolve(grid, blocks)
         clipped += c
         prod = z[:, idx[0]].copy()

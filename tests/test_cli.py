@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,9 +15,9 @@ from bosegas.spectral import GapReport
 MOMENT_N1_GOLDEN = (
     "term,value_mantissa,value_logscale,value_decimal,tail_bound,step_estimate\n"
     "1,0.56418958354775628,-0.94314718055994529,0.21969564473386119,"
-    "1.6678055129630822e-22,3.7025550979012784e-20\n"
+    "1.6678055129630822e-22,0\n"
     "total,0.56418958354775628,-0.94314718055994529,0.21969564473386119,"
-    "1.6678055129630848e-22,3.7025550979012784e-20\n"
+    "1.6678055129630848e-22,0\n"
 )
 
 TABLE_N1_GOLDEN = (
@@ -119,6 +120,22 @@ def test_verify_reports_failure_with_exit_1(capsys, monkeypatch):
     assert rc == 1
     assert "FAIL gap n=2" in out
     assert out.splitlines()[-1].startswith("FAILED")
+
+
+def test_verify_default_runs_deterministic_suites(capsys):
+    rc, out = run(capsys, ["verify"])
+    assert rc == 0
+    assert not any(line.split(" ", 1)[1].startswith("mc") for line in out.splitlines()[:-1])
+    assert out.splitlines()[-1] == "OK: 17/17 checks passed"
+
+
+def test_oversize_grid_exits_1_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["moment", "--t", "1.0", "--n", "4", "--nodes", "2001"]) == 1
+    assert main(["moment", "--t", "1.0", "--n", "4", "--nodes", "2001",
+                 "--route", "nested"]) == 1
+    assert time.perf_counter() - start < 10.0
+    assert "beyond the limit" in capsys.readouterr().err
 
 
 def test_exit_code_3_for_oversize_requests(capsys):

@@ -2,21 +2,44 @@
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bosegas.errors import NumericsError
-from bosegas.quadrature import ContourPlan, integrate_tensor, line_nodes
+import bosegas
+from bosegas.errors import NearSingularityError, NumericsError
+from bosegas.kernel import DEFAULT_MIN_SEPARATION, cluster_integrand, cluster_integrand_batch
+from bosegas.moments import (
+    MomentRequest,
+    _nested_integrand,
+    auto_cluster_plan,
+    auto_nested_plan,
+    default_abscissas,
+    moment_nested_contours,
+)
+from bosegas.partitions import enumerate_partitions
+from bosegas.quadrature import (
+    ContourPlan,
+    FactorTerm,
+    _trapezoid_sums,
+    check_grid_size,
+    integrate_tensor,
+    line_nodes,
+)
 
 
 def gaussian_integrand(rate=0.5):
     """prod_k exp(rate * w_k^2) on vertical lines: decays like exp(-rate y^2)."""
 
-    def f(W):
-        e = rate * np.sum(W * W, axis=0)
-        return np.exp(1j * e.imag), e.real
+    def f(Z):
+        return (FactorTerm(tuple(rate * z * z for z in Z)),)
 
     return f
 
@@ -24,9 +47,8 @@ def gaussian_integrand(rate=0.5):
 def drift_integrand(t, x):
     """exp(t/2 w^2 + x w): single-line heat-kernel generator."""
 
-    def f(W):
-        e = 0.5 * t * W[0] ** 2 + x * W[0]
-        return np.exp(1j * e.imag), e.real
+    def f(Z):
+        return (FactorTerm((0.5 * t * Z[0] ** 2 + x * Z[0],)),)
 
     return f
 
@@ -125,9 +147,8 @@ def test_large_scale_integrand():
     # exp(a) * gaussian with a = 5000: value representable only in scaled form
     shift = 5000.0
 
-    def f(W):
-        e = 0.5 * W[0] ** 2
-        return np.exp(1j * e.imag), e.real + shift
+    def f(Z):
+        return (FactorTerm((0.5 * Z[0] ** 2 + shift,)),)
 
     plan = ContourPlan(theta=0.0, epsilon=0.0, half_width=8.0, nodes_per_line=129)
     res = integrate_tensor(f, plan, 1)
@@ -142,24 +163,116 @@ def test_three_line_product():
 
 
 def test_nonfinite_integrand_reports_node():
-    def f(W):
-        m = np.ones(W.shape[1], dtype=complex)
-        m[3] = complex(math.nan, 0.0)
-        return m, np.zeros(W.shape[1])
+    def f(Z):
+        e = np.zeros(Z.shape[1], dtype=complex)
+        e[3] = complex(math.nan, 0.0)
+        return (FactorTerm((e,)),)
 
     plan = ContourPlan(theta=0.0, epsilon=0.0, half_width=1.0, nodes_per_line=5)
     with pytest.raises(NumericsError, match="grid indices"):
         integrate_tensor(f, plan, 1)
 
 
-def test_thread_count_invariance(monkeypatch):
-    def run():
-        plan = ContourPlan(theta=0.1, epsilon=0.3, half_width=8.0, nodes_per_line=129)
-        res = integrate_tensor(gaussian_integrand(0.4), plan, 2, decay_rates=(0.4, 0.4))
-        return res.value.mantissa, res.value.log_scale, res.step_estimate
+def _brute_force_sums(integrand, plan, re_parts):
+    """Full and every-other-node trapezoid sums, one integrand call per node."""
+    n, lines = plan.nodes_per_line, len(re_parts)
+    y = np.linspace(-plan.half_width, plan.half_width, n)
+    w = np.full(n, plan.spacing / (2 * math.pi))
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    full = coarse = 0j
+    for idx in itertools.product(range(n), repeat=lines):
+        z = [complex(re_parts[k], y[i]) for k, i in enumerate(idx)]
+        val = integrand(z) * math.prod(w[i] for i in idx)
+        full += val
+        if all(i % 2 == 0 for i in idx):
+            coarse += val * 2**lines
+    return full, coarse
 
-    monkeypatch.setenv("BOSEGAS_THREADS", "1")
-    one = run()
-    monkeypatch.setenv("BOSEGAS_THREADS", "3")
-    three = run()
-    assert one == three  # bit-identical, not approximately equal
+
+def _nested_product(t, x_sorted):
+    def integrand(z):
+        val = 1.0 + 0j
+        for k, zk in enumerate(z):
+            val *= cmath.exp(0.5 * t * zk * zk + x_sorted[k] * zk)
+        for i, j in itertools.combinations(range(len(z)), 2):
+            val *= (z[i] - z[j]) / (z[i] - z[j] - 1.0)
+        return val
+
+    return integrand
+
+
+ORACLE_T = 0.8
+ORACLE_X = (-0.4, 0.1, 0.7, 1.0)
+ORACLE_CASES = [(p, p.n) for n in range(1, 5) for p in enumerate_partitions(n)]
+ORACLE_CASES += [("nested", n) for n in range(1, 5)]
+
+
+@pytest.mark.parametrize("case,n", ORACLE_CASES, ids=[f"{c}-{n}" for c, n in ORACLE_CASES])
+def test_contraction_matches_node_sweep(case, n):
+    # the contraction regroups the sum over every tensor-grid node; on small
+    # off-origin plans it must reproduce a node-by-node sweep of independent
+    # integrands: LU determinant x clustered kernel, or the literal nested product.
+    # 11 nodes, not 9: at 9 the 5-node coarse sum of 1+1+1+1 cancels across its
+    # 24 terms by a factor ~3e5, so any two evaluations differ by ~1e-11.
+    x = ORACLE_X[:n]
+    lines = n if case == "nested" else case.length
+    if case == "nested":
+        a = default_abscissas(n, ORACLE_T, x)
+        plan = auto_nested_plan(ORACLE_T, a, nodes=11)
+        f = _nested_integrand(ORACLE_T, np.asarray(sorted(x)), DEFAULT_MIN_SEPARATION)
+        integrand = _nested_product(ORACLE_T, sorted(x))
+        re_parts = np.array(a)
+    else:
+        plan = auto_cluster_plan(ORACLE_T, case, x, nodes=11)
+        f = cluster_integrand_batch(ORACLE_T, x, case)
+        integrand = lambda z: cluster_integrand(ORACLE_T, x, case, z).to_complex()  # noqa: E731
+        re_parts = plan.theta + plan.epsilon * np.arange(lines)
+    full, coarse = _trapezoid_sums(f, plan, lines, re_parts)
+    want_full, want_coarse = _brute_force_sums(integrand, plan, re_parts)
+    assert abs(full.to_complex() - want_full) <= 1e-12 * abs(want_full)
+    assert abs(coarse.to_complex() - want_coarse) <= 1e-12 * abs(want_coarse)
+
+
+def test_nested_pole_gap_refused():
+    # abscissas 1 + 1e-10 apart put node pairs within 1e-10 of the pair pole
+    plan = ContourPlan(theta=1.0 + 1e-10, epsilon=-1.0 - 1e-10, half_width=8.0,
+                       nodes_per_line=11)
+    req = MomentRequest(1.0, (0.0, 0.0), plan=plan)
+    with pytest.raises(NearSingularityError):
+        moment_nested_contours(req, abscissas=(1.0 + 1e-10, 0.0))
+
+
+def test_grid_size_guard_before_work():
+    calls = []
+    plan = ContourPlan(theta=0.0, epsilon=0.1, half_width=8.0, nodes_per_line=2001)
+    with pytest.raises(NumericsError, match="beyond the limit"):
+        integrate_tensor(lambda Z: calls.append(Z), plan, 4)
+    assert not calls
+    check_grid_size(plan, 3)  # 2001^2 tables are within the limit
+
+
+_THREAD_PROBE = """
+from bosegas.cli import main
+from bosegas.moments import MomentRequest, moment_nested_contours, moment_partition_sum
+for req in (MomentRequest(0.8, (-0.4, 0.1, 0.7)), MomentRequest(1.0, (0.0,) * 4)):
+    for route in (moment_partition_sum, moment_nested_contours):
+        r = route(req)
+        print(repr(r.value.mantissa), repr(r.value.log_scale), repr(r.step_estimate))
+main(["asymptotic-table", "--n", "2", "--t-list", "5"])
+"""
+
+
+def test_blas_thread_count_invariance():
+    # the matrix products are the only place a threaded BLAS could reorder a
+    # reduction; results must not depend on its thread count
+    src = str(Path(bosegas.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        outs.append(proc.stdout)
+    assert len(outs[0].splitlines()) == 6
+    assert outs[0] == outs[1]  # bit-identical, not approximately equal
