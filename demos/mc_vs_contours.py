@@ -20,7 +20,7 @@ import math
 import sys
 import time
 
-from bosegas import GridSpec, MomentRequest, estimate_moment, moment_nested_contours
+from bosegas import GridSpec, MomentRequest, estimate_moments, moment_nested_contours
 
 replicas = int(sys.argv[1]) if len(sys.argv) > 1 else 4000
 seed = int(sys.argv[2]) if len(sys.argv) > 2 else 2024
@@ -29,15 +29,17 @@ grid = GridSpec(dx=0.05, dt=0.00125, half_width=3.0, t_final=0.5)
 print(f"grid: dx={grid.dx} dt={grid.dt} L={grid.half_width} t={grid.t_final}, "
       f"{replicas} replicas, seed {seed}")
 
-exact1 = 1.0 / math.sqrt(math.pi)
+# both observables are read from one simulated ensemble
 t0 = time.time()
-e1 = estimate_moment(grid, (0.0,), replicas=replicas, seed=seed)
+e1, e2 = estimate_moments(grid, [(0.0,), (0.0, 0.0)], replicas=replicas, seed=seed)
+elapsed = time.time() - t0
+
+exact1 = 1.0 / math.sqrt(math.pi)
 print(f"n=1: mc {e1.mean:.6f} +- {e1.std_error:.6f}  exact {exact1:.6f}  "
       f"pull {(e1.mean - exact1) / e1.std_error:+.2f} s.e.  "
-      f"clipped {e1.clip_count} cell-steps  [{time.time() - t0:.1f}s]")
+      f"clipped {e1.clip_count} cell-steps")
 
 nested = moment_nested_contours(MomentRequest(0.5, (0.0, 0.0))).value.to_complex().real
-t0 = time.time()
-e2 = estimate_moment(grid, (0.0, 0.0), replicas=replicas, seed=seed)
 print(f"n=2: mc {e2.mean:.6f} +- {e2.std_error:.6f}  nested {nested:.6f}  "
-      f"pull {(e2.mean - nested) / e2.std_error:+.2f} s.e.  [{time.time() - t0:.1f}s]")
+      f"pull {(e2.mean - nested) / e2.std_error:+.2f} s.e.")
+print(f"[{elapsed:.1f}s for the ensemble]")

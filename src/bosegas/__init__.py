@@ -43,7 +43,14 @@ from .moments import (
 from .partitions import Partition, cluster_expand, enumerate_partitions, multiplicity_constant
 from .quadrature import ContourPlan, FactorTerm, QuadratureResult, integrate_tensor
 from .scaled import ScaledComplex, rel_diff
-from .she_mc import GridSpec, MCEstimate, SimulatedField, estimate_moment, simulate_field
+from .she_mc import (
+    GridSpec,
+    MCEstimate,
+    SimulatedField,
+    estimate_moment,
+    estimate_moments,
+    simulate_field,
+)
 from .spectral import (
     GapReport,
     SpacePoints,
@@ -89,6 +96,7 @@ __all__ = [
     "enumerate_partitions",
     "envelope_exponent",
     "estimate_moment",
+    "estimate_moments",
     "integrate_tensor",
     "leading_asymptotic",
     "log_ground_state",

@@ -11,10 +11,13 @@ cells are clipped to zero and counted, since the continuum solution is
 nonnegative and the moment identities assume it.
 
 Replica r of a run with seed s draws its noise from an independent Philox
-stream keyed by SeedSequence((s, r)), so any subset of replicas can be
-reproduced in isolation and batching cannot change any sample.  Noise is
-drawn step-major — one (n_steps, interior) block per replica — which makes
-the batched evolution bit-identical to stepping a single replica.
+stream keyed by SeedSequence((s, r)), step-major, so any subset of replicas
+can be reproduced in isolation.  Each replica's noise is drawn a chunk of
+steps at a time, and successive draws continue its stream.  Replicas are
+advanced in batches, and the batches run on one worker thread per usable
+core (numpy releases the GIL in the draws and the step ufuncs).  The update
+is elementwise per replica and keeps one operation order, so no sample
+depends on the chunk length, the batch size or the number of workers.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ import numpy as np
 from .spectral import SpacePoints
 
 MIN_REPLICAS = 100
-_BATCH = 64
+_BATCH = 256  # replicas one worker advances together
+_CHUNK = 25  # steps of noise drawn per replica at a time
 
 
 @dataclass(frozen=True)
@@ -100,37 +104,110 @@ def replica_generator(seed: int, replica: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, replica))))
 
 
-def _evolve(grid: GridSpec, noise_blocks):
-    """Advance a batch; noise_blocks is (R, n_steps, interior) or None."""
-    r = 1 if noise_blocks is None else noise_blocks.shape[0]
-    z = np.zeros((r, grid.n_cells))
-    z[:, grid.n_side] = 1.0 / grid.dx
-    lam = grid.dt / (2.0 * grid.dx * grid.dx)
-    amp = math.sqrt(grid.dt / grid.dx)
-    clipped = 0
-    for m in range(grid.n_steps):
-        interior = z[:, 1:-1]
-        lap = z[:, :-2] - 2.0 * interior + z[:, 2:]
-        if noise_blocks is None:
-            z[:, 1:-1] = interior + lam * lap
-        else:
-            z[:, 1:-1] = interior + lam * lap + interior * (amp * noise_blocks[:, m, :])
-            neg = z < 0.0
-            c = int(np.count_nonzero(neg))
-            if c:
-                clipped += c
-                np.putmask(z, neg, 0.0)
-    return z, clipped
+class _Stepper:
+    """Euler evolution of up to `capacity` replicas in preallocated work arrays."""
+
+    def __init__(self, grid: GridSpec, capacity: int):
+        interior = grid.n_cells - 2
+        self.grid = grid
+        self._z = np.empty((capacity, grid.n_cells))
+        self._eta = np.empty((capacity, min(_CHUNK, grid.n_steps), interior))
+        self._lap = np.empty((capacity, interior))
+        self._kick = np.empty((capacity, interior))
+        self._neg = np.empty((capacity, interior), dtype=bool)
+
+    def run(self, generators):
+        """Advance one replica per generator (None: one noise-free replica) to t_final.
+
+        Returns the (replicas, n_cells) field, a view valid until the next run,
+        and the number of clipped cell-steps.
+        """
+        grid = self.grid
+        r = 1 if generators is None else len(generators)
+        z = self._z[:r]
+        z.fill(0.0)
+        z[:, grid.n_side] = 1.0 / grid.dx
+        left, mid, right = z[:, :-2], z[:, 1:-1], z[:, 2:]
+        lap, kick, neg = self._lap[:r], self._kick[:r], self._neg[:r]
+        lam = grid.dt / (2.0 * grid.dx * grid.dx)
+        amp = math.sqrt(grid.dt / grid.dx)
+        chunk = self._eta.shape[1]
+        clipped = 0
+        for first in range(0, grid.n_steps, chunk):
+            steps = min(chunk, grid.n_steps - first)
+            if generators is not None:
+                eta = self._eta[:r, :steps]
+                for row, gen in zip(eta, generators):
+                    gen.standard_normal(out=row)
+                np.multiply(eta, amp, out=eta)
+            for m in range(steps):
+                # mid + lam * (left - 2 mid + right) [+ mid * (amp eta)], in that order
+                np.multiply(mid, 2.0, out=lap)
+                np.subtract(left, lap, out=lap)
+                np.add(lap, right, out=lap)
+                np.multiply(lap, lam, out=lap)
+                if generators is None:
+                    np.add(mid, lap, out=mid)
+                    continue
+                np.add(mid, lap, out=lap)
+                np.multiply(mid, eta[:, m], out=kick)
+                np.add(lap, kick, out=mid)
+                np.less(mid, 0.0, out=neg)
+                c = int(np.count_nonzero(neg))
+                if c:
+                    clipped += c
+                    np.copyto(mid, 0.0, where=neg)
+        return z, clipped
+
+
+def _run_on_cores(items: int, new_state, run) -> None:
+    """Call run(state, i) once for each i in range(items), spread over one thread
+    per usable core (at most `items`, this thread included); each thread makes
+    its own state with new_state()."""
+    # imported on use: bound at module level, these names made unrelated
+    # benchmark ops (asymptotics) ~10% slower in repeated A/B runs
+    import os
+    import threading
+
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cores = os.cpu_count() or 1
+    numbers = iter(range(items))
+    lock = threading.Lock()
+    errors = []
+
+    def work():
+        state = new_state()
+        while True:
+            with lock:
+                i = next(numbers, None)
+            if i is None:
+                return
+            run(state, i)
+
+    def guarded():
+        try:
+            work()
+        except BaseException as exc:  # re-raised on the calling thread below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded) for _ in range(min(cores, items) - 1)]
+    for t in threads:
+        t.start()
+    try:
+        work()
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
 
 
 def simulate_field(grid: GridSpec, seed: int, replica: int = 0, noise: bool = True) -> SimulatedField:
     """One realization (or the noise-free diffusion when noise=False)."""
-    if noise:
-        rng = replica_generator(seed, replica)
-        blocks = rng.standard_normal((1, grid.n_steps, grid.n_cells - 2))
-    else:
-        blocks = None
-    z, clipped = _evolve(grid, blocks)
+    generators = [replica_generator(seed, replica)] if noise else None
+    z, clipped = _Stepper(grid, 1).run(generators)
     return SimulatedField(grid=grid, values=z[0], clip_count=clipped)
 
 
@@ -147,10 +224,8 @@ class MCEstimate:
         return self.clip_count / self.cell_steps
 
 
-def estimate_moment(grid: GridSpec, points, replicas: int, seed: int) -> MCEstimate:
-    """Monte Carlo mean of prod_i Z(t_final, x_i) over independent replicas."""
-    if replicas < MIN_REPLICAS:
-        raise ValueError(f"need at least {MIN_REPLICAS} replicas, got {replicas}")
+def _cells_of(grid: GridSpec, points) -> list[int]:
+    """Grid indices of the points, after checking they sit well inside the domain."""
     pts = SpacePoints.of(points)
     extent = max(abs(x) for x in pts.coords)
     if extent > grid.half_width - grid.dx:
@@ -163,31 +238,46 @@ def estimate_moment(grid: GridSpec, points, replicas: int, seed: int) -> MCEstim
             f"domain too small for these points: need half_width >= "
             f"4 sqrt(t_final) + max|x| = {4.0 * math.sqrt(grid.t_final) + extent:.3f}"
         )
-    idx = [grid.index_of(x) for x in pts.coords]
+    return [grid.index_of(x) for x in pts.coords]
+
+
+def estimate_moments(grid: GridSpec, point_sets, replicas: int, seed: int) -> list[MCEstimate]:
+    """Monte Carlo means of prod_i Z(t_final, x_i), one per point set, from one ensemble."""
+    if replicas < MIN_REPLICAS:
+        raise ValueError(f"need at least {MIN_REPLICAS} replicas, got {replicas}")
+    cells = [_cells_of(grid, points) for points in point_sets]
+    if not cells:
+        raise ValueError("need at least one point set")
+    samples = np.empty((len(cells), replicas))
+    n_batches = -(-replicas // _BATCH)
+    clips = [0] * n_batches
+
+    def run_batch(stepper, b):
+        lo, hi = b * _BATCH, min((b + 1) * _BATCH, replicas)
+        z, clips[b] = stepper.run([replica_generator(seed, r) for r in range(lo, hi)])
+        for row, idx in zip(samples, cells):
+            prod = z[:, idx[0]].copy()
+            for i in idx[1:]:
+                prod *= z[:, i]
+            row[lo:hi] = prod
+
+    _run_on_cores(n_batches, lambda: _Stepper(grid, min(_BATCH, replicas)), run_batch)
     interior = grid.n_cells - 2
-    samples = np.empty(replicas)
-    clipped = 0
-    # noise is drawn in place into one batch buffer, so peak memory is one
-    # batch however the allocator reuses freed blocks
-    buffer = np.empty((min(_BATCH, replicas), grid.n_steps, interior))
-    for start in range(0, replicas, _BATCH):
-        stop = min(start + _BATCH, replicas)
-        blocks = buffer[: stop - start]
-        for block, r in zip(blocks, range(start, stop)):
-            replica_generator(seed, r).standard_normal(out=block)
-        z, c = _evolve(grid, blocks)
-        clipped += c
-        prod = z[:, idx[0]].copy()
-        for i in idx[1:]:
-            prod *= z[:, i]
-        samples[start:stop] = prod
-    mean = float(np.add.reduce(samples)) / replicas
-    resid = samples - mean
-    var = float(np.add.reduce(resid * resid)) / (replicas - 1)
-    return MCEstimate(
-        mean=mean,
-        std_error=math.sqrt(var / replicas),
-        replicas=replicas,
-        clip_count=clipped,
-        cell_steps=replicas * grid.n_steps * interior,
-    )
+    estimates = []
+    for row in samples:
+        mean = float(np.add.reduce(row)) / replicas
+        resid = row - mean
+        var = float(np.add.reduce(resid * resid)) / (replicas - 1)
+        estimates.append(MCEstimate(
+            mean=mean,
+            std_error=math.sqrt(var / replicas),
+            replicas=replicas,
+            clip_count=sum(clips),
+            cell_steps=replicas * grid.n_steps * interior,
+        ))
+    return estimates
+
+
+def estimate_moment(grid: GridSpec, points, replicas: int, seed: int) -> MCEstimate:
+    """Monte Carlo mean of prod_i Z(t_final, x_i) over independent replicas."""
+    return estimate_moments(grid, [points], replicas, seed)[0]

@@ -6,19 +6,27 @@ All Monte Carlo assertions use pinned seeds, so they are deterministic; the
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bosegas
 from bosegas.she_mc import (
     GridSpec,
     MCEstimate,
     estimate_moment,
+    estimate_moments,
     replica_generator,
     simulate_field,
 )
 
 GRID = GridSpec(dx=0.05, dt=0.00125, half_width=3.0, t_final=0.5)
+# 44 steps and 600 replicas: neither a whole number of noise chunks nor of batches
+RAGGED = GridSpec(dx=0.1, dt=0.005, half_width=2.5, t_final=0.22)
 
 
 def heat_kernel(t, x):
@@ -93,6 +101,82 @@ def test_batched_estimate_bit_identical_to_single_replicas():
     again = estimate_moment(GRID, (0.0,), replicas=130, seed=5)
     assert again.mean == est.mean and again.std_error == est.std_error
 
+
+def test_estimates_pinned_bit_for_bit():
+    # (mean, std_error, clip_count) as computed before noise was drawn in step
+    # chunks and batches ran on worker threads
+    pinned = {
+        (GRID, (0.0,), 300, 5): (0.6166247902353731, 0.04990236100825053, 1),
+        (GRID, (-0.1, 0.1), 300, 5): (0.8081832255385389, 0.28955144422716306, 1),
+        (RAGGED, (0.0,), 600, 3): (0.8066438258822699, 0.024782265436102874, 21),
+        (RAGGED, (-0.2, 0.3), 600, 3): (0.690794666448635, 0.05665948695611485, 21),
+    }
+    for (grid, points, replicas, seed), want in pinned.items():
+        est = estimate_moment(grid, points, replicas=replicas, seed=seed)
+        assert (est.mean, est.std_error, est.clip_count) == want
+
+
+def test_one_ensemble_serves_every_point_set():
+    point_sets = [(0.0,), (-0.2, 0.3), (0.0, 0.0, 0.1)]
+    joint = estimate_moments(RAGGED, point_sets, replicas=600, seed=3)
+    for points, est in zip(point_sets, joint):
+        alone = estimate_moment(RAGGED, points, replicas=600, seed=3)
+        assert (est.mean, est.std_error, est.clip_count) == (
+            alone.mean, alone.std_error, alone.clip_count)
+        assert est.cell_steps == alone.cell_steps and est.replicas == 600
+    with pytest.raises(ValueError, match="inside"):
+        estimate_moments(RAGGED, [(0.0,), (2.45,)], replicas=100, seed=1)
+    with pytest.raises(ValueError, match="point set"):
+        estimate_moments(RAGGED, [], replicas=100, seed=1)
+
+
+_CPU_PROBE = """
+import os, sys
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from bosegas.she_mc import GridSpec, estimate_moment
+grid = GridSpec(dx=0.1, dt=0.005, half_width=2.5, t_final=0.22)
+for points in ((0.0,), (-0.2, 0.3)):
+    e = estimate_moment(grid, points, replicas=600, seed=3)
+    print(repr((e.mean, e.std_error, e.clip_count)))
+print(len(os.sched_getaffinity(0)))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_cpu_count_invariance():
+    # the worker count follows the process's CPU affinity; results must not
+    src = str(Path(bosegas.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    runs = {}
+    for cpus in ("one", "all"):
+        proc = subprocess.run([sys.executable, "-c", _CPU_PROBE, cpus], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        *estimates, ncpu = proc.stdout.splitlines()
+        runs[cpus] = (estimates, int(ncpu))
+    assert runs["one"][1] == 1
+    assert runs["one"][0] == runs["all"][0]  # bit-identical, not approximately equal
+    assert runs["all"][0] == [repr((0.8066438258822699, 0.024782265436102874, 21)),
+                              repr((0.690794666448635, 0.05665948695611485, 21))]
+
+
+def test_more_workers_than_cores_change_nothing(monkeypatch):
+    # workers share the batch counter, the sample array and the clip counts; a
+    # skipped batch would leave unwritten samples and drop its clips
+    point_sets = [(0.0,), (-0.2, 0.3)]
+    runs = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for cpus in (range(1), range(8)):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: set(c),
+                                raising=False)
+            ests = estimate_moments(RAGGED, point_sets, replicas=8 * 256 - 1, seed=9)
+            runs.append([(e.mean, e.std_error, e.clip_count) for e in ests])
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[0] == runs[1]
 
 # --- statistics against exact values ---------------------------------------
 
