@@ -41,7 +41,14 @@ from .moments import (
     top_cluster_integral,
 )
 from .partitions import Partition, cluster_expand, enumerate_partitions, multiplicity_constant
-from .quadrature import ContourPlan, FactorTerm, QuadratureResult, integrate_tensor
+from .quadrature import (
+    ContourPlan,
+    FactorTerm,
+    Interleavings,
+    Placement,
+    QuadratureResult,
+    integrate_tensor,
+)
 from .scaled import ScaledComplex, rel_diff
 from .she_mc import (
     GridSpec,
@@ -69,11 +76,13 @@ __all__ = [
     "FactorTerm",
     "GapReport",
     "GridSpec",
+    "Interleavings",
     "MCEstimate",
     "MomentRequest",
     "NearSingularityError",
     "NumericsError",
     "Partition",
+    "Placement",
     "QuadratureResult",
     "RatioResult",
     "ScaledComplex",

@@ -18,14 +18,21 @@ integers so the dropped terms really are exact zeros — the unfiltered sum is
 then bit-identical to the filtered one.
 
 Two evaluations of the cluster integrand det[1/(w_i + lambda_i - w_j)] *
-K / mult share those tables:
+K / mult:
   * cluster_integrand (and clustered_kernel, cluster_determinant) evaluates
-    it at one point, with the determinant by pivoted LU: the oracle;
-  * cluster_integrand_batch hands integrate_tensor the factored form.  Each
-    surviving permutation is one term: its exponent is a per-line quadratic
-    plus a per-line linear part, its cross-cluster ratios are line-pair
-    tables, and the determinant in Cauchy product form is the constant
-    1/prod(lambda_i) times one table per line pair.
+    it at one point from the surviving terms, with the determinant by
+    pivoted LU: the oracle;
+  * cluster_integrand_batch hands integrate_tensor the factored form, with
+    the determinant in Cauchy product form: the constant 1/prod(lambda_i)
+    times one table per line pair.  The surviving permutations are not
+    expanded one by one.  A cross ratio's orientation depends only on which
+    of its two coordinates comes later, so filling the positions from the
+    last to the first, a placed coordinate fixes its ratios with every
+    coordinate still unplaced: one line-pair table per open cluster.  The sum
+    over interleavings is then a recursion over how many coordinates of each
+    cluster are still unplaced (Held & Karp, J. SIAM 10 (1962) 196), and a
+    line is summed out as soon as its cluster is complete: for 1+1+1+1,
+    4 four-line eliminations and 12 three-line ones instead of 24 of each.
 """
 
 from __future__ import annotations
@@ -34,12 +41,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NearSingularityError, NumericsError, UnsupportedDimensionError
 from .partitions import Partition, cluster_slots
-from .quadrature import FactorTerm
+from .quadrature import Interleavings, Placement
 from .scaled import ScaledComplex
 from .spectral import SpacePoints
 
@@ -300,63 +308,137 @@ def cluster_integrand(t, x, partition: Partition, w) -> ScaledComplex:
     return kern * (det / partition.multiplicity)
 
 
-def cluster_integrand_batch(t, x, partition: Partition, min_separation=DEFAULT_MIN_SEPARATION):
-    """Factored integrand f(Z) -> FactorTerms for integrate_tensor, Z of shape
-    (l, N) holding each line's base points: one term per surviving permutation.
+class _Placements(NamedTuple):
+    steps: tuple[tuple[Placement, ...], ...]
+    closings: tuple[tuple[tuple[int, ...], ...], ...]  # per line: positions it can close with
+    tables: dict  # table key -> (cross keys of its ratios, Cauchy line pair or None)
+    cross_keys: tuple[tuple[int, int, int], ...]
+    scalar: float  # product of the within-cluster ratios, the same for every interleaving
 
-    Term sigma is scalar/(mult * prod lambda) times, on line k,
-    exp(sum over cluster k's offsets o of t/2 (w + o)^2 + c_k w + d_k) with
-    c_k, d_k collecting the x_(i) that sigma sends to cluster k, times one
-    table per line pair i < j: the Cauchy factor of the cluster determinant,
+
+@lru_cache(maxsize=None)
+def _placements(parts: tuple[int, ...]) -> _Placements:
+    """The recursion over interleavings, filling positions last to first.
+
+    A state records, per cluster still open, the positions its coordinates
+    took so far (its placed offsets are 0, 1, ... in that order, as offsets
+    descend along the positions), and None once the cluster is complete.
+    Placing a coordinate of cluster k at offset o multiplies in one table per
+    open cluster u: its cross ratios with u's unplaced offsets, all at
+    earlier positions.  Placing k's last coordinate closes line k with the
+    positions its coordinates took, and its tables also carry the Cauchy
+    factors from k to the open clusters.  Once one cluster is left open,
+    its remaining coordinates take the remaining positions in one step.
+
+    The states are the prod(lambda_k + 1) counts of unplaced coordinates,
+    told apart further by the positions a partly placed cluster took, so
+    that each line's exponent is formed whole, once per assignment.  A
+    cluster of one coordinate closes as soon as it is placed: for
+    all-singleton partitions the states are exactly the 2**l subsets of
+    open clusters.
+    """
+    ell = len(parts)
+    start, final = ((),) * ell, (None,) * ell
+    moves = {start: []}  # state -> its (dst, line, tables, closes), states in order reached
+    level = [start]
+    closings = [set() for _ in parts]
+    factors = {}
+    for p in range(sum(parts) - 1, -1, -1):
+        nxt = []
+        for key in level:
+            open_ = [u for u in range(ell) if key[u] is not None]
+            if len(open_) == 1:  # the last open cluster takes the remaining positions
+                (k,) = open_
+                taken = key[k] + tuple(range(p, -1, -1))
+                closings[k].add(taken)
+                moves[key].append((final, k, (), taken))
+                continue
+            for k in open_:
+                o = len(key[k])
+                taken = key[k] + (p,)
+                closes = taken if len(taken) == parts[k] else None
+                tables = []
+                for u in open_:
+                    if u != k:
+                        left = parts[u] - len(key[u])
+                        name = ("cross" if closes is None else "closing", k, o, u, left)
+                        cross = tuple((k, u, o - ou) for ou in range(parts[u] - left, parts[u]))
+                        factors[name] = (cross, None if closes is None else (min(k, u), max(k, u)))
+                        tables.append((u, name))
+                if closes is not None:
+                    closings[k].add(taken)
+                    taken = None
+                dst = key[:k] + (taken,) + key[k + 1:]
+                if dst not in moves:
+                    moves[dst] = []
+                    nxt.append(dst)
+                moves[key].append((dst, k, tuple(tables), closes))
+        level = nxt
+    ids = {key: i for i, key in enumerate([*moves, final])}
+    steps = tuple(tuple(Placement(ids[dst], k, tables, closes) for dst, k, tables, closes in out)
+                  for out in moves.values()) + ((),)
+    scalar = 1.0
+    for lam in parts:  # offsets descend along the positions inside a cluster
+        for beta in range(lam):
+            for alpha in range(beta + 1, lam):
+                d = beta - alpha
+                scalar *= (d - 1.0) / d
+    keys = sorted({key for cross, _ in factors.values() for key in cross})
+    return _Placements(steps=steps, closings=tuple(tuple(sorted(c)) for c in closings),
+                       tables=factors, cross_keys=tuple(keys), scalar=scalar)
+
+
+def cluster_integrand_batch(t, x, partition: Partition, min_separation=DEFAULT_MIN_SEPARATION):
+    """Factored integrand f(Z) -> (Interleavings,) for integrate_tensor, Z of
+    shape (l, N) holding each line's base points: the sum over the surviving
+    permutations as a recursion over placements (see _placements).
+
+    Every interleaving carries the constant scalar/(mult * prod lambda).  Line
+    k closes with exp(sum over cluster k's offsets o of t/2 (w + o)^2 + c w + d),
+    c and d collecting the x_(i) at the positions its coordinates took.  Line
+    pair i < j carries the Cauchy factor of the cluster determinant,
         (d + lambda_i - lambda_j)(-d) / ((d + lambda_i)(lambda_j - d)),
-    d = w_i - w_j, and the cross-cluster ratios sigma places on that pair.
+    d = w_i - w_j, and each placement the cross-cluster ratios it fixes.
     """
     x_sorted = np.asarray(SpacePoints.of(x).ordered)
     if x_sorted.size != partition.n:
         raise ValueError(f"got {x_sorted.size} points for partition of {partition.n}")
     parts = partition.parts
-    tables = _tables(parts)
-    ell = len(parts)
-    base = 1.0 / (partition.multiplicity * math.prod(parts))
-    line_pairs = [(i, j) for i in range(ell) for j in range(i + 1, ell)]
-    layout = []  # per term: coef, per-line (c_k, d_k), per line pair its cross keys
-    for term in tables.terms:
-        lin = [[0.0, 0.0] for _ in parts]
-        for i, a in enumerate(term.perm):
-            k, off = tables.slots[a]
-            lin[k][0] += x_sorted[i]
-            lin[k][1] += x_sorted[i] * off
-        keys = {pair: tuple(key for key in term.cross if tuple(sorted(key[:2])) == pair)
-                for pair in line_pairs}
-        layout.append((term.scalar * base, lin, keys))
+    graph = _placements(parts)
+    coef = graph.scalar / (partition.multiplicity * math.prod(parts))
+    linear = []  # per line: closing positions -> (c, d), summed in position order
+    for closings in graph.closings:
+        by_key = {}
+        for taken in closings:
+            c = d = 0.0
+            for off in range(len(taken) - 1, -1, -1):
+                c += x_sorted[taken[off]]
+                d += x_sorted[taken[off]] * off
+            by_key[taken] = (c, d)
+        linear.append(by_key)
 
     def f(Z):
         quad = [(0.5 * t) * sum((Z[k] + off) * (Z[k] + off) for off in range(lam))
                 for k, lam in enumerate(parts)]
         ratios = {}
-        for cu, cv, d in tables.cross_keys:  # tables indexed (node on min, node on max)
+        for cu, cv, d in graph.cross_keys:  # tables indexed (node on min, node on max)
             den = (Z[cu][:, None] - Z[cv][None, :] if cu < cv
                    else Z[cu][None, :] - Z[cv][:, None]) + d
             ratios[cu, cv, d] = _cross_ratio(den, (cu, cv, d), min_separation)
         cauchy = {}
-        for i, j in line_pairs:
-            d = Z[i][:, None] - Z[j][None, :]
-            li, lj = parts[i], parts[j]
-            cauchy[i, j] = ((d + (li - lj)) * -d) / ((d + li) * (lj - d))
-        products = {}  # cauchy factor times cross ratios, shared between terms
-        out = []
-        for coef, lin, keys in layout:
-            pairs = {}
-            for pair, pair_keys in keys.items():
-                table = products.get((pair, pair_keys))
-                if table is None:
-                    table = cauchy[pair]
-                    for key in pair_keys:
-                        table = table * ratios[key]
-                    products[pair, pair_keys] = table
-                pairs[pair] = table
-            exps = tuple(quad[k] + c * Z[k] + d for k, (c, d) in enumerate(lin))
-            out.append(FactorTerm(exps, pairs, coef))
-        return out
+        for i in range(len(parts)):
+            for j in range(i + 1, len(parts)):
+                d = Z[i][:, None] - Z[j][None, :]
+                li, lj = parts[i], parts[j]
+                cauchy[i, j] = ((d + (li - lj)) * -d) / ((d + li) * (lj - d))
+        tables = {}
+        for name, (keys, pair) in graph.tables.items():
+            table = ratios[keys[0]] if pair is None else cauchy[pair] * ratios[keys[0]]
+            for key in keys[1:]:
+                table = table * ratios[key]
+            tables[name] = table
+        exponents = tuple({taken: quad[k] + c * Z[k] + d for taken, (c, d) in by_key.items()}
+                          for k, by_key in enumerate(linear))
+        return (Interleavings(graph.steps, exponents, tables, coef),)
 
     return f

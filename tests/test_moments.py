@@ -17,7 +17,7 @@ import math
 
 import pytest
 
-from bosegas.errors import UnsupportedDimensionError
+from bosegas.errors import NearSingularityError, UnsupportedDimensionError
 from bosegas.moments import (
     MomentRequest,
     RatioResult,
@@ -38,6 +38,7 @@ from bosegas.moments import (
 )
 from bosegas.partitions import Partition
 from bosegas.quadrature import ContourPlan, QuadratureResult
+from bosegas.scaled import ScaledComplex, rel_diff
 from bosegas.scaled import ScaledComplex
 
 
@@ -232,6 +233,26 @@ def test_epsilon_validation_against_cluster_bound():
                                          nodes_per_line=65))
     with pytest.raises(ValueError, match="epsilon"):
         cluster_integral(req, Partition((2, 1)))
+
+
+@pytest.mark.parametrize("parts", [(2, 1), (1, 1, 1)], ids=["2+1", "1+1+1"])
+def test_partition_route_refuses_nodes_at_a_cross_ratio_pole(parts):
+    # lines 1e-10 apart put same-height nodes of two clusters within 1e-10 of
+    # a cross-ratio pole, below DEFAULT_MIN_SEPARATION
+    p = Partition(parts)
+    x = (0.0, 0.3, -0.5)
+    req = MomentRequest(1.0, x, plan=auto_cluster_plan(1.0, p, x, epsilon=1e-10))
+    with pytest.raises(NearSingularityError, match=r"clusters \d,\d"):
+        cluster_integral(req, p)
+
+
+def test_five_point_four_line_partition_pinned():
+    # n = 5 with four lines: the one place a placement leaves four lines open
+    # before any is summed out.  Value recorded from the per-permutation
+    # contraction this recursion replaced, on the same default 65-node plan.
+    res = cluster_integral(MomentRequest(1.0, (0.0,) * 5), Partition((2, 1, 1, 1)))
+    want = ScaledComplex(0.9938567498132769 + 1.7114583043590026e-17j, -6.5814718055994526)
+    assert rel_diff(res.value, want) <= 1e-12
 
 
 def test_size_guards():

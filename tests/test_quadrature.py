@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,14 @@ import pytest
 
 import bosegas
 from bosegas.errors import NearSingularityError, NumericsError
-from bosegas.kernel import DEFAULT_MIN_SEPARATION, cluster_integrand, cluster_integrand_batch
+import bosegas.quadrature as quadrature
+from bosegas.kernel import (
+    DEFAULT_MIN_SEPARATION,
+    _clustered_terms,
+    _placements,
+    cluster_integrand,
+    cluster_integrand_batch,
+)
 from bosegas.moments import (
     MomentRequest,
     _nested_integrand,
@@ -24,7 +32,7 @@ from bosegas.moments import (
     default_abscissas,
     moment_nested_contours,
 )
-from bosegas.partitions import enumerate_partitions
+from bosegas.partitions import Partition, enumerate_partitions
 from bosegas.quadrature import (
     ContourPlan,
     FactorTerm,
@@ -232,6 +240,80 @@ def test_contraction_matches_node_sweep(case, n):
     want_full, want_coarse = _brute_force_sums(integrand, plan, re_parts)
     assert abs(full.to_complex() - want_full) <= 1e-12 * abs(want_full)
     assert abs(coarse.to_complex() - want_coarse) <= 1e-12 * abs(want_coarse)
+
+
+FIVE_POINT_X = ORACLE_X + (1.2,)
+FIVE_POINT_CASES = [p for p in enumerate_partitions(5) if 2 <= p.length <= 4]
+
+
+@pytest.mark.parametrize("p", FIVE_POINT_CASES, ids=str)
+def test_recursion_matches_node_sweep_five_points(p):
+    # at n = 5 partly placed clusters keep lines open across placements, and
+    # 2+1+1+1 holds four open lines before its first elimination; the oracle
+    # evaluates LU determinant x clustered kernel at every node of the grid
+    plan = auto_cluster_plan(ORACLE_T, p, FIVE_POINT_X, nodes=11)
+    re_parts = plan.theta + plan.epsilon * np.arange(p.length)
+    full, coarse = _trapezoid_sums(cluster_integrand_batch(ORACLE_T, FIVE_POINT_X, p),
+                                   plan, p.length, re_parts)
+    n = plan.nodes_per_line
+    y = np.linspace(-plan.half_width, plan.half_width, n)
+    w = np.full(n, plan.spacing / (2 * math.pi))
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    idx = np.array(list(itertools.product(range(n), repeat=p.length))).T  # (lines, nodes)
+    W = re_parts[:, None] + 1j * y[idx]
+    mant, logs = _clustered_terms(ORACLE_T, np.asarray(sorted(FIVE_POINT_X)), p.parts, W)
+    lam = np.array(p.parts, dtype=float)
+    det = np.linalg.det(1.0 / ((W.T[:, :, None] + lam[None, :, None]) - W.T[:, None, :]))
+    vals = mant * np.exp(logs) * det / p.multiplicity * np.prod(w[idx], axis=0)
+    want_full = vals.sum()
+    want_coarse = vals[np.all(idx % 2 == 0, axis=0)].sum() * 2**p.length
+    assert abs(full.to_complex() - want_full) <= 1e-12 * abs(want_full)
+    assert abs(coarse.to_complex() - want_coarse) <= 1e-12 * abs(want_coarse)
+
+
+def test_four_singletons_take_four_four_line_eliminations(monkeypatch):
+    # 1+1+1+1 sums its 24 interleavings over the 2**4 subsets of open lines:
+    # 4 four-line eliminations and 12 three-line ones per grid, not 24 of each
+    graph = _placements((1, 1, 1, 1))
+    assert len(graph.steps) == 16 and sum(map(len, graph.steps)) == 32
+    calls = []
+    inner = quadrature._sum_out
+
+    def counted(core, axis, v, facs):
+        calls.append((None if core is None else core.ndim, len(facs)))
+        return inner(core, axis, v, facs)
+
+    monkeypatch.setattr(quadrature, "_sum_out", counted)
+    p = Partition((1, 1, 1, 1))
+    plan = auto_cluster_plan(ORACLE_T, p, ORACLE_X, nodes=11)
+    integrate_tensor(cluster_integrand_batch(ORACLE_T, ORACLE_X, p), plan, 4)
+    assert calls.count((None, 3)) == 2 * 4  # full grid and coarse grid
+    assert calls.count((3, 2)) == 2 * 12
+    assert not any(ndim is not None and ndim > 3 for ndim, _ in calls)
+
+
+@pytest.mark.parametrize("route", ["partition", "nested"])
+def test_four_line_recursion_keeps_two_cubes_live(route):
+    # a three-line message is pushed on as soon as it is formed: the peak is
+    # two N^3 arrays plus N^2 tables, not one N^3 array per open state
+    n, x = 61, ORACLE_X
+    p = Partition((1, 1, 1, 1))
+    if route == "partition":
+        plan, a = auto_cluster_plan(ORACLE_T, p, x, nodes=n), None
+        f = cluster_integrand_batch(ORACLE_T, x, p)
+    else:
+        a = default_abscissas(4, ORACLE_T, x)
+        plan = auto_nested_plan(ORACLE_T, a, nodes=n)
+        f = _nested_integrand(ORACLE_T, np.asarray(sorted(x)), DEFAULT_MIN_SEPARATION)
+    integrate_tensor(f, plan, 4, abscissas=a)  # caches filled outside the measurement
+    tracemalloc.start()
+    try:
+        integrate_tensor(f, plan, 4, abscissas=a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0 * n**3 * 16
 
 
 def test_nested_pole_gap_refused():
