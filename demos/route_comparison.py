@@ -14,16 +14,7 @@ its per-partition breakdown so you can see how much the off-diagonal cluster
 contributes at each t.
 """
 
-import math
-
-from bosegas import MomentRequest, cluster_breakdown, moment_nested_contours
-
-
-def two_point_exact(t, x1, x2):
-    b = 1.0 - abs(x2 - x1) / t
-    half = 0.5 * b * math.sqrt(t)
-    bracket = 1.0 + 0.5 * math.sqrt(math.pi * t) * math.exp(half * half) * (1.0 + math.erf(half))
-    return math.exp(-(x1 * x1 + x2 * x2) / (2.0 * t)) / (2.0 * math.pi * t) * bracket
+from bosegas import MomentRequest, cluster_breakdown, moment_nested_contours, two_point_moment
 
 
 def main():
@@ -35,7 +26,7 @@ def main():
             pieces = cluster_breakdown(req)
             total = sum(r.value.to_complex().real for _, r in pieces)
             nested = moment_nested_contours(req).value.to_complex().real
-            exact = two_point_exact(t, *x)
+            exact = two_point_moment(t, *x)
             worst = max(abs(total - exact), abs(nested - exact)) / exact
             print(f"{t:>5} {str(x):>12} {total:>15.10f} {nested:>15.10f} "
                   f"{exact:>15.10f} {worst:>10.1e}")

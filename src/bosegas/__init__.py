@@ -34,11 +34,13 @@ from .moments import (
     cluster_integral,
     combine_results,
     default_abscissas,
+    heat_kernel,
     leading_asymptotic,
     moment_nested_contours,
     moment_partition_sum,
     top_cluster_closed_form,
     top_cluster_integral,
+    two_point_moment,
 )
 from .partitions import Partition, cluster_expand, enumerate_partitions, multiplicity_constant
 from .quadrature import (
@@ -106,6 +108,7 @@ __all__ = [
     "envelope_exponent",
     "estimate_moment",
     "estimate_moments",
+    "heat_kernel",
     "integrate_tensor",
     "leading_asymptotic",
     "log_ground_state",
@@ -122,5 +125,6 @@ __all__ = [
     "surviving_permutations",
     "top_cluster_closed_form",
     "top_cluster_integral",
+    "two_point_moment",
     "verify_gap",
 ]

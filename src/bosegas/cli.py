@@ -17,6 +17,7 @@ included whenever the scaled value fits in ordinary double range
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -353,8 +354,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """build_parser() once per process: parsing keeps no state between calls,
+    and building costs about a millisecond (argparse makes a help formatter
+    per argument)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "moment":

@@ -33,6 +33,10 @@ K / mult:
     cluster are still unplaced (Held & Karp, J. SIAM 10 (1962) 196), and a
     line is summed out as soon as its cluster is complete: for 1+1+1+1,
     4 four-line eliminations and 12 three-line ones instead of 24 of each.
+    Every line-pair factor depends on w_i - w_j only, and the lines share
+    one uniform grid of imaginary parts, so each table is Toeplitz: its
+    ratios, Cauchy factors and products are formed on the 2N-1 node offsets
+    and handed over as strided N x N views (quadrature._toeplitz_table).
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ import numpy as np
 
 from .errors import NearSingularityError, NumericsError, UnsupportedDimensionError
 from .partitions import Partition, cluster_slots
-from .quadrature import Interleavings, Placement
+from .quadrature import Interleavings, Placement, _node_differences, _toeplitz_table
 from .scaled import ScaledComplex
 from .spectral import SpacePoints
 
@@ -151,8 +155,9 @@ def surviving_permutations(p: Partition) -> tuple[tuple[int, ...], ...]:
 
 
 def _cross_ratio(den, key, min_separation):
-    """(den - 1)/den for the cross-cluster pair key = (cu, cv, d), where den is
-    w_cu - w_cv + d at every node; refuses nodes too close to its pole."""
+    """(den - 1)/den for the cross-cluster pair key = (cu, cv, d), where den
+    holds w_cu - w_cv + d per sample point or per node offset; refuses nodes
+    too close to its pole."""
     closest = float(np.min(np.abs(den)))
     if closest < min_separation:
         cu, cv, d = key
@@ -399,6 +404,10 @@ def cluster_integrand_batch(t, x, partition: Partition, min_separation=DEFAULT_M
     pair i < j carries the Cauchy factor of the cluster determinant,
         (d + lambda_i - lambda_j)(-d) / ((d + lambda_i)(lambda_j - d)),
     d = w_i - w_j, and each placement the cross-cluster ratios it fixes.
+
+    f relies on the grid invariant of quadrature: Z[k] = re_k + 1j*y on one
+    shared uniform y.  Each table is then formed once per node offset, 2N-1
+    values, and returned as a Toeplitz view of them.
     """
     x_sorted = np.asarray(SpacePoints.of(x).ordered)
     if x_sorted.size != partition.n:
@@ -420,23 +429,23 @@ def cluster_integrand_batch(t, x, partition: Partition, min_separation=DEFAULT_M
     def f(Z):
         quad = [(0.5 * t) * sum((Z[k] + off) * (Z[k] + off) for off in range(lam))
                 for k, lam in enumerate(parts)]
+        # every factor below is a vector over node offsets on (min line, max line)
+        diffs = {(i, j): _node_differences(Z, i, j)
+                 for i in range(len(parts)) for j in range(i + 1, len(parts))}
         ratios = {}
-        for cu, cv, d in graph.cross_keys:  # tables indexed (node on min, node on max)
-            den = (Z[cu][:, None] - Z[cv][None, :] if cu < cv
-                   else Z[cu][None, :] - Z[cv][:, None]) + d
+        for cu, cv, d in graph.cross_keys:
+            den = diffs[cu, cv] + d if cu < cv else d - diffs[cv, cu]
             ratios[cu, cv, d] = _cross_ratio(den, (cu, cv, d), min_separation)
         cauchy = {}
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                d = Z[i][:, None] - Z[j][None, :]
-                li, lj = parts[i], parts[j]
-                cauchy[i, j] = ((d + (li - lj)) * -d) / ((d + li) * (lj - d))
+        for (i, j), d in diffs.items():
+            li, lj = parts[i], parts[j]
+            cauchy[i, j] = ((d + (li - lj)) * -d) / ((d + li) * (lj - d))
         tables = {}
         for name, (keys, pair) in graph.tables.items():
             table = ratios[keys[0]] if pair is None else cauchy[pair] * ratios[keys[0]]
             for key in keys[1:]:
                 table = table * ratios[key]
-            tables[name] = table
+            tables[name] = _toeplitz_table(table)
         exponents = tuple({taken: quad[k] + c * Z[k] + d for taken, (c, d) in by_key.items()}
                           for k, by_key in enumerate(linear))
         return (Interleavings(graph.steps, exponents, tables, coef),)

@@ -29,7 +29,15 @@ import numpy as np
 from .errors import NearSingularityError, UnsupportedDimensionError
 from .kernel import DEFAULT_MIN_SEPARATION, cluster_integrand_batch
 from .partitions import Partition, enumerate_partitions
-from .quadrature import MAX_LINES, ContourPlan, FactorTerm, QuadratureResult, integrate_tensor
+from .quadrature import (
+    MAX_LINES,
+    ContourPlan,
+    FactorTerm,
+    QuadratureResult,
+    _node_differences,
+    _toeplitz_table,
+    integrate_tensor,
+)
 from .scaled import ScaledComplex
 from .spectral import SpacePoints, log_ground_state, lyapunov_exponent, optimal_theta
 
@@ -183,6 +191,28 @@ def top_cluster_integral(req: MomentRequest) -> QuadratureResult:
     return cluster_integral(req, Partition((req.n,)))
 
 
+def heat_kernel(t: float, x: float) -> float:
+    """The n = 1 moment: e^{-x^2/(2t)} / sqrt(2 pi t)."""
+    return math.exp(-x * x / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)
+
+
+def two_point_moment(t: float, x1: float, x2: float) -> float:
+    """The n = 2 moment in erf form, from writing the pair factor as a
+    Laplace transform, which splits the double contour integral into heat
+    kernels.  With beta = 1 - |x2 - x1| / t,
+
+        e^{-(x1^2 + x2^2)/(2t)} / (2 pi t)
+        * [1 + (sqrt(pi t)/2) e^{beta^2 t/4} (1 + erf(beta sqrt(t)/2))].
+
+    Plain floats, so it underflows once the Gaussian factor does.
+    """
+    beta = 1.0 - abs(x2 - x1) / t
+    gauss = math.exp(-(x1 * x1 + x2 * x2) / (2.0 * t)) / (2.0 * math.pi * t)
+    bracket = 1.0 + 0.5 * math.sqrt(math.pi * t) * math.exp(beta * beta * t / 4.0) * (
+        1.0 + math.erf(beta * math.sqrt(t) / 2.0))
+    return gauss * bracket
+
+
 def top_cluster_closed_form(t: float, x) -> ScaledComplex:
     """Exact Gaussian evaluation of the full-cluster integral:
 
@@ -233,7 +263,12 @@ def default_abscissas(n: int, t: float, x, spacing: float = DEFAULT_NESTED_SPACI
 
 def _nested_integrand(t, x_sorted, min_separation):
     """Factored nested integrand: line k carries exp(t/2 w^2 + x_(k) w), each
-    pair i < j the table (w_i - w_j)/(w_i - w_j - 1)."""
+    pair i < j the table (w_i - w_j)/(w_i - w_j - 1).
+
+    f relies on the grid invariant of quadrature: Z[k] = re_k + 1j*y on one
+    shared uniform y.  Each table and its pole check are then formed once
+    per node offset, 2N-1 values, and the table returned as a Toeplitz view.
+    """
     npts = len(x_sorted)
 
     def f(Z):
@@ -241,17 +276,17 @@ def _nested_integrand(t, x_sorted, min_separation):
         pairs = {}
         for i in range(npts):
             for j in range(i + 1, npts):
-                d = Z[i][:, None] - Z[j][None, :]
+                d = _node_differences(Z, i, j)
                 den = d - 1.0
                 # poles sit at pair gaps of exactly 1; the plan keeps them at
-                # vertical distance |gap - 1| but vet every node pair anyway
+                # vertical distance |gap - 1| but vet every node offset anyway
                 closest = float(np.min(np.abs(den)))
                 if closest < min_separation:
                     raise NearSingularityError(
                         f"nested contours came within {closest:.3e} of a pole "
                         f"(floor {min_separation:.1e})"
                     )
-                pairs[i, j] = d / den
+                pairs[i, j] = _toeplitz_table(d / den)
         return (FactorTerm(exps, pairs),)
 
     return f

@@ -24,6 +24,14 @@ a three-line message is pushed on through its steps as soon as it is formed,
 so no array spans four lines and at most two N^3 arrays are live.  Nothing
 visits the grid node by node.
 
+Grid invariant: _trapezoid_sums calls f with Z[k] = re_k + 1j*y, one shared
+uniform y for every line.  So w_i - w_j at nodes a, b depends on the offset
+a - b only, and a line-pair factor built from it takes 2N-1 distinct values:
+its N x N table is Toeplitz.  _node_differences forms w_i - w_j once per
+offset, the integrand does its arithmetic on those vectors, and
+_toeplitz_table hands the recursion the table as a strided view of one.
+Striding it [::2, ::2] gives the coarse grid's table, again a view.
+
 Scaling: each line's vectors are exp(1j Im e) * weight * exp(Re e - s_k) with
 s_k the largest Re e over every exponent that line can carry, so a term's
 value is its recursion sum times exp(sum_k s_k), one scalar log-scale per
@@ -46,6 +54,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import NumericsError, UnsupportedDimensionError
 from .scaled import ScaledComplex, rel_diff
@@ -168,6 +177,23 @@ def _grid_1d(plan: ContourPlan):
     w[0] *= 0.5
     w[-1] *= 0.5
     return y, w
+
+
+def _node_differences(Z, i, j):
+    """w_i - w_j by node offset: entry m + N - 1 is Z[i, a] - Z[j, b] for
+    every a - b = m, m = -(N-1)..N-1.  Holds only under the grid invariant
+    (see the module docstring): the lines share one uniform y."""
+    return np.concatenate((Z[i][0] - Z[j][::-1], Z[i][1:] - Z[j][0]))
+
+
+def _toeplitz_table(g):
+    """The read-only (N, N) view T[a, b] = g[a - b + N - 1] of a vector g
+    of length 2N-1 indexed by node offset, as _node_differences returns.
+    Row a starts at g[a + N - 1] and runs back towards g[a]: every entry
+    lies inside g."""
+    n = (g.size + 1) // 2
+    step = g.strides[0]
+    return as_strided(g[n - 1:], shape=(n, n), strides=(step, -step), writeable=False)
 
 
 def check_grid_size(plan: ContourPlan, num_lines: int):
@@ -381,7 +407,8 @@ def integrate_tensor(f, plan: ContourPlan, num_lines: int, decay_rates=None, abs
     """Tensor-product trapezoid integral of a factored integrand.
 
     f(Z) -> sequence of FactorTerm or Interleavings, with Z of shape
-    (num_lines, N) holding each line's nodes.  Line k sits at
+    (num_lines, N) holding each line's nodes, all lines on the same
+    imaginary parts (the grid invariant above).  Line k sits at
     Re w = theta + k*epsilon unless explicit `abscissas` override the real
     parts.  decay_rates (per-line Gaussian coefficients a_k with
     |integrand| ~ exp(-a_k y_k^2)) feed the tail bound.

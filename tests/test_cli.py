@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import bosegas.cli as cli
 from bosegas import __version__
 from bosegas.cli import TABLE_HEADER, main
 from bosegas.moments import MomentRequest, asymptotic_ratio, moment_partition_sum
@@ -165,3 +166,44 @@ def test_version_flag(capsys):
         main(["--version"])
     assert err.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+PARSER_SEQUENCE = [
+    ["moment", "--t", "1.0", "--x", "0.0", "0.5", "--route", "nested"],
+    ["asymptotic-table", "--n", "2", "--t-list", "4.0", "--format", "json"],
+    ["moment", "--t", "2.0", "--x", "1.0"],
+    ["verify", "--suite", "determinant"],
+    ["asymptotic-table", "--n", "1", "--t-list", "1.0", "2.0"],
+    ["moment", "--t", "1.0", "--n", "2", "--format", "json"],
+]
+
+
+def fresh_run(capsys, argv):
+    cli._shared_parser.cache_clear()  # the next main() builds a new parser
+    return run(capsys, argv)
+
+
+def test_reused_parser_prints_what_fresh_parsers_print(capsys):
+    want = [fresh_run(capsys, argv) for argv in PARSER_SEQUENCE]
+    got = [run(capsys, argv) for argv in PARSER_SEQUENCE]  # one parser for all
+    assert got == want
+    assert cli._shared_parser() is cli._shared_parser()
+
+
+@pytest.mark.parametrize("bad", [
+    ["moment", "--t", "1.0"],
+    ["moment", "--t", "1.0", "--x", "0.0", "--route", "nested", "--theta", "0.5"],
+    ["verify", "--suite", "nonsense"],
+    ["moment", "--t", "1.0", "--x", "0.0", "--nodes"],
+])
+def test_usage_error_leaves_the_parser_unchanged(capsys, bad):
+    good = ["moment", "--t", "1.0", "--x", "0.0", "0.5", "--format", "json"]
+    want = fresh_run(capsys, good)
+    errors = []
+    for _ in range(2):  # the second bad call meets a parser that already refused one
+        with pytest.raises(SystemExit) as err:
+            main(bad)
+        assert err.value.code == 2
+        errors.append(capsys.readouterr().err)
+        assert run(capsys, good) == want
+    assert errors[0] == errors[1] and errors[0].startswith("usage: bosegas")

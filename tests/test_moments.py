@@ -1,16 +1,10 @@
 """Moment routes against closed-form anchors.
 
-The n = 1 moment is the heat kernel.  The n = 2 moment has an erf closed form
-(derived by writing the pair factor as a Laplace transform, which splits the
-double contour integral into heat kernels): with x1 <= x2 and
-beta = 1 - (x2 - x1)/t,
-
-    u2(t, x) = e^{-(x1^2+x2^2)/(2t)} / (2 pi t)
-               * [ 1 + (sqrt(pi t)/2) e^{beta^2 t/4} (1 + erf(beta sqrt(t)/2)) ].
-
-Neither anchor touches the quadrature or kernel code, so agreement of both
-routes with them checks the whole convention stack (pairing order, cluster
-determinant, multiplicities, prefactors) at once.
+The n = 1 moment is the heat kernel and the n = 2 moment has an erf closed
+form (moments.heat_kernel, moments.two_point_moment).  Neither anchor touches
+the quadrature or kernel code, so agreement of both routes with them checks
+the whole convention stack (pairing order, cluster determinant,
+multiplicities, prefactors) at once.
 """
 
 import math
@@ -30,30 +24,18 @@ from bosegas.moments import (
     combine_results,
     default_abscissas,
     default_epsilon,
+    heat_kernel,
     leading_asymptotic,
     moment_nested_contours,
     moment_partition_sum,
     top_cluster_closed_form,
     top_cluster_integral,
+    two_point_moment,
 )
 from bosegas.partitions import Partition
 from bosegas.quadrature import ContourPlan, QuadratureResult
 from bosegas.scaled import ScaledComplex, rel_diff
 from bosegas.scaled import ScaledComplex
-
-
-def heat_kernel(t, x):
-    return math.exp(-x * x / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)
-
-
-def two_point_exact(t, x1, x2):
-    lo, hi = sorted((x1, x2))
-    beta = 1.0 - (hi - lo) / t
-    gauss = math.exp(-(x1 * x1 + x2 * x2) / (2.0 * t)) / (2.0 * math.pi * t)
-    bracket = 1.0 + 0.5 * math.sqrt(math.pi * t) * math.exp(beta * beta * t / 4.0) * (
-        1.0 + math.erf(beta * math.sqrt(t) / 2.0)
-    )
-    return gauss * bracket
 
 
 def rel_to(result: QuadratureResult, target: float) -> float:
@@ -115,14 +97,14 @@ def test_top_cluster_closed_form_growth():
 @pytest.mark.parametrize("pts", [(0.0, 0.0), (-0.7, 0.4), (1.0, 1.0)])
 def test_two_point_exact_partition_route(t, pts):
     res = moment_partition_sum(MomentRequest(t, pts))
-    assert rel_to(res, two_point_exact(t, *pts)) <= 1e-8
+    assert rel_to(res, two_point_moment(t, *pts)) <= 1e-8
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("pts", [(0.0, 0.0), (-0.7, 0.4), (1.0, 1.0)])
 def test_two_point_exact_nested_route(t, pts):
     res = moment_nested_contours(MomentRequest(t, pts))
-    assert rel_to(res, two_point_exact(t, *pts)) <= 1e-8
+    assert rel_to(res, two_point_moment(t, *pts)) <= 1e-8
 
 
 def test_two_point_breakdown_structure():
@@ -132,7 +114,7 @@ def test_two_point_breakdown_structure():
     # the full-cluster piece alone reproduces its closed form
     assert abs(pieces[0][1].value.ratio_to(top_cluster_closed_form(1.0, (0.0, 0.0))) - 1) <= 1e-10
     total = combine_results(r for _, r in pieces)
-    assert rel_to(total, two_point_exact(1.0, 0.0, 0.0)) <= 1e-8
+    assert rel_to(total, two_point_moment(1.0, 0.0, 0.0)) <= 1e-8
 
 
 # --- n = 3: route against route -------------------------------------------
@@ -161,7 +143,7 @@ def test_ratio_n2_matches_erf_form_and_tightens():
     gaps = []
     for t in (5.0, 8.0):
         r = asymptotic_ratio(MomentRequest(t, (0.0, 0.0)))
-        exact = two_point_exact(t, 0.0, 0.0) / leading_asymptotic(t, (0.0, 0.0)).to_complex().real
+        exact = two_point_moment(t, 0.0, 0.0) / leading_asymptotic(t, (0.0, 0.0)).to_complex().real
         assert r.ratio == pytest.approx(exact, rel=1e-8)
         assert r.ratio > 1.0
         gaps.append(r.ratio - 1.0)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import os
@@ -21,7 +20,6 @@ from bosegas.kernel import (
     DEFAULT_MIN_SEPARATION,
     _clustered_terms,
     _placements,
-    cluster_integrand,
     cluster_integrand_batch,
 )
 from bosegas.moments import (
@@ -181,33 +179,43 @@ def test_nonfinite_integrand_reports_node():
         integrate_tensor(f, plan, 1)
 
 
-def _brute_force_sums(integrand, plan, re_parts):
-    """Full and every-other-node trapezoid sums, one integrand call per node."""
+def _node_sweep(values, plan, re_parts):
+    """Full and every-other-node trapezoid sums of values(W), with W of shape
+    (lines, nodes) holding every node of the tensor grid at once."""
     n, lines = plan.nodes_per_line, len(re_parts)
     y = np.linspace(-plan.half_width, plan.half_width, n)
     w = np.full(n, plan.spacing / (2 * math.pi))
     w[0] *= 0.5
     w[-1] *= 0.5
-    full = coarse = 0j
-    for idx in itertools.product(range(n), repeat=lines):
-        z = [complex(re_parts[k], y[i]) for k, i in enumerate(idx)]
-        val = integrand(z) * math.prod(w[i] for i in idx)
-        full += val
-        if all(i % 2 == 0 for i in idx):
-            coarse += val * 2**lines
-    return full, coarse
+    idx = np.array(list(itertools.product(range(n), repeat=lines))).T  # (lines, nodes)
+    vals = values(re_parts[:, None] + 1j * y[idx]) * np.prod(w[idx], axis=0)
+    return vals.sum(), vals[np.all(idx % 2 == 0, axis=0)].sum() * 2**lines
 
 
-def _nested_product(t, x_sorted):
-    def integrand(z):
-        val = 1.0 + 0j
-        for k, zk in enumerate(z):
-            val *= cmath.exp(0.5 * t * zk * zk + x_sorted[k] * zk)
-        for i, j in itertools.combinations(range(len(z)), 2):
-            val *= (z[i] - z[j]) / (z[i] - z[j] - 1.0)
+def _cluster_values(t, x, p):
+    """LU determinant x clustered kernel / multiplicity at each node."""
+
+    def values(W):
+        mant, logs = _clustered_terms(t, np.asarray(sorted(x)), p.parts, W)
+        lam = np.array(p.parts, dtype=float)
+        det = np.linalg.det(1.0 / ((W.T[:, :, None] + lam[None, :, None]) - W.T[:, None, :]))
+        return mant * np.exp(logs) * det / p.multiplicity
+
+    return values
+
+
+def _nested_values(t, x_sorted):
+    """The literal nested product at each node."""
+
+    def values(W):
+        val = np.ones(W.shape[1], dtype=complex)
+        for k, zk in enumerate(W):
+            val *= np.exp(0.5 * t * zk * zk + x_sorted[k] * zk)
+        for i, j in itertools.combinations(range(len(W)), 2):
+            val *= (W[i] - W[j]) / (W[i] - W[j] - 1.0)
         return val
 
-    return integrand
+    return values
 
 
 ORACLE_T = 0.8
@@ -219,8 +227,9 @@ ORACLE_CASES += [("nested", n) for n in range(1, 5)]
 @pytest.mark.parametrize("case,n", ORACLE_CASES, ids=[f"{c}-{n}" for c, n in ORACLE_CASES])
 def test_contraction_matches_node_sweep(case, n):
     # the contraction regroups the sum over every tensor-grid node; on small
-    # off-origin plans it must reproduce a node-by-node sweep of independent
-    # integrands: LU determinant x clustered kernel, or the literal nested product.
+    # off-origin plans it must reproduce a sweep of independent integrands
+    # over every node: LU determinant x clustered kernel, or the literal
+    # nested product.
     # 11 nodes, not 9: at 9 the 5-node coarse sum of 1+1+1+1 cancels across its
     # 24 terms by a factor ~3e5, so any two evaluations differ by ~1e-11.
     x = ORACLE_X[:n]
@@ -229,15 +238,15 @@ def test_contraction_matches_node_sweep(case, n):
         a = default_abscissas(n, ORACLE_T, x)
         plan = auto_nested_plan(ORACLE_T, a, nodes=11)
         f = _nested_integrand(ORACLE_T, np.asarray(sorted(x)), DEFAULT_MIN_SEPARATION)
-        integrand = _nested_product(ORACLE_T, sorted(x))
+        values = _nested_values(ORACLE_T, sorted(x))
         re_parts = np.array(a)
     else:
         plan = auto_cluster_plan(ORACLE_T, case, x, nodes=11)
         f = cluster_integrand_batch(ORACLE_T, x, case)
-        integrand = lambda z: cluster_integrand(ORACLE_T, x, case, z).to_complex()  # noqa: E731
+        values = _cluster_values(ORACLE_T, x, case)
         re_parts = plan.theta + plan.epsilon * np.arange(lines)
     full, coarse = _trapezoid_sums(f, plan, lines, re_parts)
-    want_full, want_coarse = _brute_force_sums(integrand, plan, re_parts)
+    want_full, want_coarse = _node_sweep(values, plan, re_parts)
     assert abs(full.to_complex() - want_full) <= 1e-12 * abs(want_full)
     assert abs(coarse.to_complex() - want_coarse) <= 1e-12 * abs(want_coarse)
 
@@ -255,21 +264,110 @@ def test_recursion_matches_node_sweep_five_points(p):
     re_parts = plan.theta + plan.epsilon * np.arange(p.length)
     full, coarse = _trapezoid_sums(cluster_integrand_batch(ORACLE_T, FIVE_POINT_X, p),
                                    plan, p.length, re_parts)
-    n = plan.nodes_per_line
-    y = np.linspace(-plan.half_width, plan.half_width, n)
-    w = np.full(n, plan.spacing / (2 * math.pi))
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    idx = np.array(list(itertools.product(range(n), repeat=p.length))).T  # (lines, nodes)
-    W = re_parts[:, None] + 1j * y[idx]
-    mant, logs = _clustered_terms(ORACLE_T, np.asarray(sorted(FIVE_POINT_X)), p.parts, W)
-    lam = np.array(p.parts, dtype=float)
-    det = np.linalg.det(1.0 / ((W.T[:, :, None] + lam[None, :, None]) - W.T[:, None, :]))
-    vals = mant * np.exp(logs) * det / p.multiplicity * np.prod(w[idx], axis=0)
-    want_full = vals.sum()
-    want_coarse = vals[np.all(idx % 2 == 0, axis=0)].sum() * 2**p.length
+    want_full, want_coarse = _node_sweep(_cluster_values(ORACLE_T, FIVE_POINT_X, p),
+                                         plan, re_parts)
     assert abs(full.to_complex() - want_full) <= 1e-12 * abs(want_full)
     assert abs(coarse.to_complex() - want_coarse) <= 1e-12 * abs(want_coarse)
+
+
+def test_toeplitz_table_views_node_differences():
+    # on a grid where y is exact, every node pair's difference is one of the
+    # 2N-1 offsets, bit for bit, and [::2, ::2] is the coarse grid's table
+    y = np.linspace(-4.0, 4.0, 9)
+    Z = np.array([0.25, -0.5, 1.75])[:, None] + 1j * y[None, :]
+    for i, j in itertools.permutations(range(3), 2):
+        g = quadrature._node_differences(Z, i, j)
+        table = quadrature._toeplitz_table(g)
+        assert g.shape == (17,) and np.shares_memory(table, g)
+        assert np.array_equal(table, Z[i][:, None] - Z[j][None, :])
+        assert np.array_equal(table[::2, ::2], Z[i][::2, None] - Z[j][None, ::2])
+
+
+def _grid(plan, re_parts):
+    """The nodes _trapezoid_sums hands an integrand: one shared uniform y."""
+    y = np.linspace(-plan.half_width, plan.half_width, plan.nodes_per_line)
+    return re_parts[:, None] + 1j * y[None, :]
+
+
+def _pair_differences(Z, i, j):
+    """w_i - w_j at every node pair, indexed (node on min line, node on max line)."""
+    return Z[i][:, None] - Z[j][None, :] if i < j else Z[i][None, :] - Z[j][:, None]
+
+
+def _direct_cluster_tables(Z, parts):
+    """Every placement table from its N^2 node-pair differences."""
+    tables = {}
+    for name, (keys, pair) in _placements(parts).tables.items():
+        table = np.ones((Z.shape[1],) * 2, dtype=complex)
+        if pair is not None:
+            i, j = pair
+            d = _pair_differences(Z, i, j)
+            li, lj = parts[i], parts[j]
+            table = table * ((d + (li - lj)) * -d) / ((d + li) * (lj - d))
+        for cu, cv, off in keys:
+            den = _pair_differences(Z, cu, cv) + off
+            table = table * (den - 1.0) / den
+        tables[name] = table
+    return tables
+
+
+TABLE_CASES = [p for n in range(2, 5) for p in enumerate_partitions(n) if p.length > 1]
+TABLE_CASES += [Partition((2, 2, 1))]  # its clusters of two stay partly placed
+
+
+def _assert_tables_match(got, want):
+    assert got.keys() == want.keys()
+    for key, table in want.items():
+        assert got[key].shape == table.shape
+        assert np.all(np.abs(got[key] - table) <= 1e-14 * np.abs(table)), key
+
+
+@pytest.mark.parametrize("nodes", [11, 35])
+@pytest.mark.parametrize("p", TABLE_CASES, ids=str)
+def test_cluster_tables_match_node_pair_form(p, nodes):
+    # tables built on the 2N-1 node offsets equal the N^2 node-pair formula
+    x = FIVE_POINT_X[:p.n]
+    plan = auto_cluster_plan(ORACLE_T, p, x, nodes=nodes)
+    Z = _grid(plan, plan.theta + plan.epsilon * np.arange(p.length))
+    (term,) = cluster_integrand_batch(ORACLE_T, x, p)(Z)
+    _assert_tables_match(term.tables, _direct_cluster_tables(Z, p.parts))
+
+
+@pytest.mark.parametrize("nodes", [11, 35])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_nested_tables_match_node_pair_form(n, nodes):
+    x = ORACLE_X[:n]
+    a = default_abscissas(n, ORACLE_T, x)
+    Z = _grid(auto_nested_plan(ORACLE_T, a, nodes=nodes), np.array(a))
+    (term,) = _nested_integrand(ORACLE_T, np.asarray(sorted(x)), DEFAULT_MIN_SEPARATION)(Z)
+    want = {}
+    for i, j in itertools.combinations(range(n), 2):
+        d = _pair_differences(Z, i, j)
+        want[i, j] = d / (d - 1.0)
+    _assert_tables_match(term.pairs, want)
+
+
+@pytest.mark.parametrize("nodes", [11, 35])
+@pytest.mark.parametrize("parts,key", [((1, 1), (0, 1, 0)), ((2, 1), (0, 1, 1)),
+                                       ((2, 2), (0, 1, -1)), ((2, 1, 1), (1, 2, 0))],
+                         ids=["1+1", "2+1", "2+2", "2+1+1"])
+def test_cross_ratio_pole_refused_on_node_offsets(parts, key, nodes):
+    # lines placed so that w_cu - w_cv + d comes within 1e-10 of 0 at
+    # same-height nodes; at 1e-6, above the floor, the same grid passes
+    cu, cv, d = key
+    p = Partition(parts)
+    plan = auto_cluster_plan(ORACLE_T, p, FIVE_POINT_X[:p.n], nodes=nodes)
+    f = cluster_integrand_batch(ORACLE_T, FIVE_POINT_X[:p.n], p)
+    for gap, refused in ((1e-10, True), (1e-6, False)):
+        re_parts = 0.3 * np.arange(p.length)
+        re_parts[cv] = re_parts[cu] + d - gap
+        Z = _grid(plan, re_parts)
+        if refused:
+            with pytest.raises(NearSingularityError, match=f"clusters {cu},{cv} at offset "
+                                                           f"difference {d} came within 1.000e-10"):
+                f(Z)
+        else:
+            f(Z)
 
 
 def test_four_singletons_take_four_four_line_eliminations(monkeypatch):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import bosegas
+from bosegas.moments import heat_kernel, two_point_moment
 from bosegas.she_mc import (
     GridSpec,
     MCEstimate,
@@ -27,18 +28,6 @@ from bosegas.she_mc import (
 GRID = GridSpec(dx=0.05, dt=0.00125, half_width=3.0, t_final=0.5)
 # 44 steps and 600 replicas: neither a whole number of noise chunks nor of batches
 RAGGED = GridSpec(dx=0.1, dt=0.005, half_width=2.5, t_final=0.22)
-
-
-def heat_kernel(t, x):
-    return math.exp(-x * x / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)
-
-
-def two_point_exact(t, x1, x2):
-    lo, hi = sorted((x1, x2))
-    beta = 1.0 - (hi - lo) / t
-    gauss = math.exp(-(x1 * x1 + x2 * x2) / (2.0 * t)) / (2.0 * math.pi * t)
-    return gauss * (1.0 + 0.5 * math.sqrt(math.pi * t) * math.exp(beta * beta * t / 4.0)
-                    * (1.0 + math.erf(beta * math.sqrt(t) / 2.0)))
 
 
 # --- grid -------------------------------------------------------------------
@@ -231,7 +220,7 @@ def test_short_time_two_point_matches_nested_quadrature():
 
 def test_second_moment_hits_erf_form():
     est = estimate_moment(GRID, (-0.1, 0.1), replicas=3000, seed=11)
-    exact = two_point_exact(0.5, -0.1, 0.1)
+    exact = two_point_moment(0.5, -0.1, 0.1)
     assert abs(est.mean - exact) <= 3.0 * est.std_error + 0.1 * exact
 
 
