@@ -34,9 +34,12 @@ K / mult:
     line is summed out as soon as its cluster is complete: for 1+1+1+1,
     4 four-line eliminations and 12 three-line ones instead of 24 of each.
     Every line-pair factor depends on w_i - w_j only, and the lines share
-    one uniform grid of imaginary parts, so each table is Toeplitz: its
-    ratios, Cauchy factors and products are formed on the 2N-1 node offsets
-    and handed over as strided N x N views (quadrature._toeplitz_table).
+    one uniform grid of imaginary parts, so each table is Toeplitz.  A table
+    is a rational function of D = w_i - w_j, its Cauchy factor and cross
+    ratios all products of linear factors +-D + c, so it is formed on the
+    2N-1 node offsets as one product of numerators over one of denominators,
+    and the tables are handed over as one (K, 2N-1) stack of offset vectors,
+    beside one (rows, N) array of exponents per line (quadrature.Interleavings).
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ import numpy as np
 
 from .errors import NearSingularityError, NumericsError, UnsupportedDimensionError
 from .partitions import Partition, cluster_slots
-from .quadrature import Interleavings, Placement, _node_differences, _toeplitz_table
+from .quadrature import Interleavings, Placement, _node_differences
 from .scaled import ScaledComplex
 from .spectral import SpacePoints
 
@@ -154,18 +157,18 @@ def surviving_permutations(p: Partition) -> tuple[tuple[int, ...], ...]:
     return tuple(t.perm for t in _tables(p.parts).terms)
 
 
-def _cross_ratio(den, key, min_separation):
-    """(den - 1)/den for the cross-cluster pair key = (cu, cv, d), where den
-    holds w_cu - w_cv + d per sample point or per node offset; refuses nodes
-    too close to its pole."""
-    closest = float(np.min(np.abs(den)))
-    if closest < min_separation:
-        cu, cv, d = key
+def _refuse_poles(den, keys, min_separation):
+    """Refuse cross-ratio denominators den[r] = w_cu - w_cv + d, keys[r] =
+    (cu, cv, d), per sample point or per node offset, that come within
+    min_separation of 0; the first such key in sorted order is named."""
+    mag = np.abs(den)
+    if mag.size and mag.min() < min_separation:
+        hits = sorted((key, c) for key, c in zip(keys, mag.min(axis=-1)) if c < min_separation)
+        (cu, cv, d), closest = hits[0]
         raise NearSingularityError(
             f"coordinate pair from clusters {cu},{cv} at offset difference {d} "
             f"came within {closest:.3e} of a kernel pole (floor {min_separation:.1e})"
         )
-    return (den - 1.0) / den
 
 
 def _clustered_terms(t, x_sorted, parts, W, short_circuit=True, min_separation=DEFAULT_MIN_SEPARATION):
@@ -185,8 +188,9 @@ def _clustered_terms(t, x_sorted, parts, W, short_circuit=True, min_separation=D
     keys = tables.cross_keys if short_circuit else _tables_unfiltered(parts).cross_keys
 
     # cross-cluster pair ratios, one array per distinct (cluster_u, cluster_v, d)
-    ratios = {(cu, cv, d): _cross_ratio((W[cu] - W[cv]) + d, (cu, cv, d), min_separation)
-              for cu, cv, d in keys}
+    den = np.array([(W[cu] - W[cv]) + d for cu, cv, d in keys]).reshape(len(keys), W.shape[1])
+    _refuse_poles(den, keys, min_separation)
+    ratios = dict(zip(keys, (den - 1.0) / den))
 
     Z = np.empty((n, W.shape[1]), dtype=complex)
     for a, (k, off) in enumerate(slots):
@@ -315,10 +319,22 @@ def cluster_integrand(t, x, partition: Partition, w) -> ScaledComplex:
 
 class _Placements(NamedTuple):
     steps: tuple[tuple[Placement, ...], ...]
-    closings: tuple[tuple[tuple[int, ...], ...], ...]  # per line: positions it can close with
-    tables: dict  # table key -> (cross keys of its ratios, Cauchy line pair or None)
-    cross_keys: tuple[tuple[int, int, int], ...]
+    # per line, by exponent row: the positions the line closes with
+    closings: tuple[tuple[tuple[int, ...], ...], ...]
+    tables: tuple  # per table row: (cross keys of its ratios, Cauchy line pair or None)
     scalar: float  # product of the within-cluster ratios, the same for every interleaving
+    # (off, r) for off >= 1: lines 0..r-1 have more than off coordinates,
+    # as parts are nonincreasing
+    grow: tuple[tuple[int, int], ...]
+    # Each table as a rational function of D = w_i - w_j on its line pair
+    # i < j: prod(num_sign * D + num_shift) / prod(den_sign * D + den_shift),
+    # the (K, F, 1) factor arrays padded with the constant 1.  pole_mask marks
+    # the cross-ratio denominators, pole_keys their cross keys in mask order.
+    table_lines: tuple[np.ndarray, np.ndarray]  # (i, j) per table, (K,) each
+    num: tuple[np.ndarray, np.ndarray]  # (num_sign, num_shift)
+    den: tuple[np.ndarray, np.ndarray]  # (den_sign, den_shift)
+    pole_mask: np.ndarray
+    pole_keys: tuple[tuple[int, int, int], ...]
 
 
 @lru_cache(maxsize=None)
@@ -341,6 +357,11 @@ def _placements(parts: tuple[int, ...]) -> _Placements:
     cluster of one coordinate closes as soon as it is placed: for
     all-singleton partitions the states are exactly the 2**l subsets of
     open clusters.
+
+    Placements name tables by row, in the order first met, and closings by
+    exponent row, the line's closing positions in sorted order.  The graph
+    also keeps each table's linear factors (see _Placements), so an
+    integrand forms every table with a few array operations.
     """
     ell = len(parts)
     start, final = ((),) * ell, (None,) * ell
@@ -380,17 +401,53 @@ def _placements(parts: tuple[int, ...]) -> _Placements:
                 moves[key].append((dst, k, tuple(tables), closes))
         level = nxt
     ids = {key: i for i, key in enumerate([*moves, final])}
-    steps = tuple(tuple(Placement(ids[dst], k, tables, closes) for dst, k, tables, closes in out)
-                  for out in moves.values()) + ((),)
+    rows = {name: r for r, name in enumerate(factors)}
+    closings = tuple(tuple(sorted(c)) for c in closings)
+    closing_rows = [{taken: r for r, taken in enumerate(c)} for c in closings]
+    steps = tuple(
+        tuple(Placement(ids[dst], k, tuple((u, rows[name]) for u, name in tables),
+                        None if closes is None else closing_rows[k][closes])
+              for dst, k, tables, closes in out)
+        for out in moves.values()) + ((),)
     scalar = 1.0
     for lam in parts:  # offsets descend along the positions inside a cluster
         for beta in range(lam):
             for alpha in range(beta + 1, lam):
                 d = beta - alpha
                 scalar *= (d - 1.0) / d
-    keys = sorted({key for cross, _ in factors.values() for key in cross})
-    return _Placements(steps=steps, closings=tuple(tuple(sorted(c)) for c in closings),
-                       tables=factors, cross_keys=tuple(keys), scalar=scalar)
+    lines, num, den, poles = [], [], [], []
+    for cross, cauchy in factors.values():
+        k, u = cross[0][:2]
+        i, j = min(k, u), max(k, u)
+        lines.append((i, j))
+        num.append([] if cauchy is None else [(1.0, parts[i] - parts[j]), (-1.0, 0.0)])
+        den.append([] if cauchy is None else [(1.0, parts[i]), (-1.0, parts[j])])
+        for cu, cv, d in cross:  # (w_cu - w_cv + d - 1) / (w_cu - w_cv + d)
+            sign = 1.0 if cu < cv else -1.0
+            num[-1].append((sign, d - 1.0))
+            poles.append((len(lines) - 1, len(den[-1]), (cu, cv, d)))
+            den[-1].append((sign, d))
+    width = max(map(len, num + den), default=0)
+    num, den = ([f + [(0.0, 1.0)] * (width - len(f)) for f in fs] for fs in (num, den))
+    pole_mask = np.zeros((len(lines), width), dtype=bool)
+    for row, col, _ in poles:
+        pole_mask[row, col] = True
+    pole_mask.flags.writeable = False
+    return _Placements(
+        steps=steps, closings=closings, tables=tuple(factors.values()), scalar=scalar,
+        grow=tuple((off, sum(lam > off for lam in parts)) for off in range(1, parts[0])),
+        table_lines=tuple(_frozen([pair[s] for pair in lines], int) for s in (0, 1)),
+        num=tuple(_frozen(num, float).reshape(len(lines), width, 2)[..., s, None] for s in (0, 1)),
+        den=tuple(_frozen(den, float).reshape(len(lines), width, 2)[..., s, None] for s in (0, 1)),
+        pole_mask=pole_mask,
+        pole_keys=tuple(key for _, _, key in sorted(poles)),
+    )
+
+
+def _frozen(values, dtype):
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
 
 
 def cluster_integrand_batch(t, x, partition: Partition, min_separation=DEFAULT_MIN_SEPARATION):
@@ -407,47 +464,44 @@ def cluster_integrand_batch(t, x, partition: Partition, min_separation=DEFAULT_M
 
     f relies on the grid invariant of quadrature: Z[k] = re_k + 1j*y on one
     shared uniform y.  Each table is then formed once per node offset, 2N-1
-    values, and returned as a Toeplitz view of them.
+    values, and returned as that offset vector.
     """
-    x_sorted = np.asarray(SpacePoints.of(x).ordered)
-    if x_sorted.size != partition.n:
-        raise ValueError(f"got {x_sorted.size} points for partition of {partition.n}")
+    x_sorted = SpacePoints.of(x).ordered
+    if len(x_sorted) != partition.n:
+        raise ValueError(f"got {len(x_sorted)} points for partition of {partition.n}")
     parts = partition.parts
+    ell = len(parts)
     graph = _placements(parts)
     coef = graph.scalar / (partition.multiplicity * math.prod(parts))
-    linear = []  # per line: closing positions -> (c, d), summed in position order
+    # per line and exponent row, padded to the most rows any line has: the
+    # (c, d) of its closing positions, summed in position order
+    rows = [len(closings) for closings in graph.closings]
+    c, d = [], []
     for closings in graph.closings:
-        by_key = {}
-        for taken in closings:
-            c = d = 0.0
+        c.append([0.0] * max(rows))
+        d.append([0.0] * max(rows))
+        for r, taken in enumerate(closings):
             for off in range(len(taken) - 1, -1, -1):
-                c += x_sorted[taken[off]]
-                d += x_sorted[taken[off]] * off
-            by_key[taken] = (c, d)
-        linear.append(by_key)
+                c[-1][r] += x_sorted[taken[off]]
+                d[-1][r] += x_sorted[taken[off]] * off
+    c, d = np.array(c)[..., None], np.array(d)[..., None]
+    lower, upper = graph.table_lines
+    (num_sign, num_shift), (den_sign, den_shift) = graph.num, graph.den
 
     def f(Z):
-        quad = [(0.5 * t) * sum((Z[k] + off) * (Z[k] + off) for off in range(lam))
-                for k, lam in enumerate(parts)]
-        # every factor below is a vector over node offsets on (min line, max line)
-        diffs = {(i, j): _node_differences(Z, i, j)
-                 for i in range(len(parts)) for j in range(i + 1, len(parts))}
-        ratios = {}
-        for cu, cv, d in graph.cross_keys:
-            den = diffs[cu, cv] + d if cu < cv else d - diffs[cv, cu]
-            ratios[cu, cv, d] = _cross_ratio(den, (cu, cv, d), min_separation)
-        cauchy = {}
-        for (i, j), d in diffs.items():
-            li, lj = parts[i], parts[j]
-            cauchy[i, j] = ((d + (li - lj)) * -d) / ((d + li) * (lj - d))
-        tables = {}
-        for name, (keys, pair) in graph.tables.items():
-            table = ratios[keys[0]] if pair is None else cauchy[pair] * ratios[keys[0]]
-            for key in keys[1:]:
-                table = table * ratios[key]
-            tables[name] = _toeplitz_table(table)
-        exponents = tuple({taken: quad[k] + c * Z[k] + d for taken, (c, d) in by_key.items()}
-                          for k, by_key in enumerate(linear))
+        quad = Z * Z
+        for off, r in graph.grow:
+            z = Z[:r] + off
+            quad[:r] += z * z
+        quad = (0.5 * t) * quad
+        exps = quad[:, None, :] + c * Z[:, None, :] + d
+        exponents = tuple(exps[k, :n] for k, n in enumerate(rows))
+        tables = np.empty((0, 2 * Z.shape[1] - 1), dtype=complex)
+        if ell > 1:
+            diffs = _node_differences(Z[lower], Z[upper])[:, None, :]
+            den = diffs * den_sign + den_shift
+            _refuse_poles(den[graph.pole_mask], graph.pole_keys, min_separation)
+            tables = (diffs * num_sign + num_shift).prod(axis=1) / den.prod(axis=1)
         return (Interleavings(graph.steps, exponents, tables, coef),)
 
     return f

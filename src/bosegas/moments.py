@@ -35,7 +35,6 @@ from .quadrature import (
     FactorTerm,
     QuadratureResult,
     _node_differences,
-    _toeplitz_table,
     integrate_tensor,
 )
 from .scaled import ScaledComplex
@@ -267,27 +266,27 @@ def _nested_integrand(t, x_sorted, min_separation):
 
     f relies on the grid invariant of quadrature: Z[k] = re_k + 1j*y on one
     shared uniform y.  Each table and its pole check are then formed once
-    per node offset, 2N-1 values, and the table returned as a Toeplitz view.
+    per node offset, 2N-1 values, and the tables returned as one stack of
+    offset vectors.
     """
     npts = len(x_sorted)
+    pairs = tuple((i, j) for i in range(npts) for j in range(i + 1, npts))
+    lower, upper = (np.array([pair[s] for pair in pairs], dtype=int) for s in (0, 1))
+    x_col = np.asarray(x_sorted, dtype=float)[:, None]
 
     def f(Z):
-        exps = tuple((0.5 * t) * (Z[k] * Z[k]) + x_sorted[k] * Z[k] for k in range(npts))
-        pairs = {}
-        for i in range(npts):
-            for j in range(i + 1, npts):
-                d = _node_differences(Z, i, j)
-                den = d - 1.0
-                # poles sit at pair gaps of exactly 1; the plan keeps them at
-                # vertical distance |gap - 1| but vet every node offset anyway
-                closest = float(np.min(np.abs(den)))
-                if closest < min_separation:
-                    raise NearSingularityError(
-                        f"nested contours came within {closest:.3e} of a pole "
-                        f"(floor {min_separation:.1e})"
-                    )
-                pairs[i, j] = _toeplitz_table(d / den)
-        return (FactorTerm(exps, pairs),)
+        exps = (0.5 * t) * (Z * Z) + x_col * Z
+        d = _node_differences(Z[lower], Z[upper])
+        den = d - 1.0
+        # poles sit at pair gaps of exactly 1; the plan keeps them at
+        # vertical distance |gap - 1| but vet every node offset anyway
+        closest = float(np.min(np.abs(den))) if pairs else math.inf
+        if closest < min_separation:
+            raise NearSingularityError(
+                f"nested contours came within {closest:.3e} of a pole "
+                f"(floor {min_separation:.1e})"
+            )
+        return (FactorTerm(exps, pairs, d / den),)
 
     return f
 

@@ -8,29 +8,39 @@ Integrands are factored.  f(Z), with Z of shape (lines, N) holding each
 line's nodes, returns a sequence of terms, each a sum over placement orders
 (Interleavings): coef times, summed over the paths of a small state graph,
 the product of the line-pair tables every step of the path multiplies in and,
-on each line, exp(e_k) for the exponent its closing step names.  A single
+on each line, exp(e) for the exponent row its closing step names.  A single
 product (FactorTerm) is the one-order case: its lines close last to first.
-
-The trapezoid sum over the N**lines grid is a recursion over those states
-(variable elimination, as in opt_einsum, shared between orders as in Held &
-Karp's subset recursion).  A state's message is a dense array over the lines
-still open once one of them has been summed out, and before that only the
-tables its one path has collected.  A step that closes line k multiplies in
-line k's vector and its tables to the open lines and sums w_k out: a plain
-sum at one line, a vector-table product at two, one N^3 matmul at three and
-one (N^2 x N)(N x N) matmul at four.  Summing a line out of a three-line
-message is N^3 elementwise work.  Messages reaching the same state are added;
-a three-line message is pushed on through its steps as soon as it is formed,
-so no array spans four lines and at most two N^3 arrays are live.  Nothing
-visits the grid node by node.
 
 Grid invariant: _trapezoid_sums calls f with Z[k] = re_k + 1j*y, one shared
 uniform y for every line.  So w_i - w_j at nodes a, b depends on the offset
 a - b only, and a line-pair factor built from it takes 2N-1 distinct values:
-its N x N table is Toeplitz.  _node_differences forms w_i - w_j once per
-offset, the integrand does its arithmetic on those vectors, and
-_toeplitz_table hands the recursion the table as a strided view of one.
-Striding it [::2, ::2] gives the coarse grid's table, again a view.
+its N x N table T[a, b] = g[a - b + N - 1] is Toeplitz, and a term carries
+the offset vector g, never T.  _node_differences forms w_i - w_j once per
+offset and the integrand does its arithmetic on those vectors.  Reversing g
+transposes T, and since N is odd g[::2] is the coarse grid's offset vector.
+
+A term travels compact: per line one (rows, N) array of exponents, a row per
+way the line can close, and its tables stacked as one (K, 2N-1) array of
+offset vectors.  Placements name rows of both.  Each line's exponents are
+vetted and exponentiated in one pass, and the tables vetted on their offsets,
+2N-1 values each.
+
+The trapezoid sum over the N**lines grid is a recursion over the placement
+states (variable elimination, as in opt_einsum, shared between orders as in
+Held & Karp's subset recursion).  A state's message is a dense array over the lines
+still open once one of them has been summed out, and before that only the
+tables its one path has collected, multiplied together on their offsets when
+they join the same line pair.  A step that closes line k multiplies in line
+k's vector and its tables to the open lines and sums w_k out: a plain sum at
+one line, one convolution of the offset vector with the line's vector at two
+(so a two-line term never forms an N x N array), one N^3 matmul at three and
+one (N^2 x N)(N x N) matmul at four.  Summing a line out of a three-line
+message is N^3 elementwise work.  Where a table meets a dense message it
+enters as an (N, N) strided view of its offset vector, one view of the whole
+stack per grid, never as a stored N x N array.  Messages reaching the
+same state are added; a three-line message is pushed on through its steps as
+soon as it is formed, so no array spans four lines and at most two N^3 arrays
+are live.  Nothing visits the grid node by node.
 
 Scaling: each line's vectors are exp(1j Im e) * weight * exp(Re e - s_k) with
 s_k the largest Re e over every exponent that line can carry, so a term's
@@ -42,15 +52,15 @@ Two error diagnostics ride along (estimates, not enclosures):
   * tail_bound   - relative Gaussian tail mass erfc(sqrt(a_k) T) summed over
                    lines, from the declared decay rates a_k;
   * step_estimate- relative difference against the embedded every-other-node
-                   grid (the same recursion on vectors and tables strided
-                   [::2], weights doubled), a conservative bound dominated by
-                   the coarse grid's own error.
+                   grid (the same recursion on exponent and table stacks
+                   strided [:, ::2], weights doubled), a conservative bound
+                   dominated by the coarse grid's own error.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -62,7 +72,8 @@ from .scaled import ScaledComplex, rel_diff
 _TWO_PI = 2.0 * math.pi
 MAX_LINES = 4
 # Largest array the recursion allocates, in complex values: N^3 at four
-# lines (two such arrays are live at once), N^2 tables below that.
+# lines (two such arrays are live at once), N^2 messages and expanded tables
+# at three.  Plans of two lines are held to the N^2 limit too.
 MAX_ARRAY_VALUES = 1 << 24
 # Longest inner dimension handed to one BLAS matmul.  Past 128, OpenBLAS
 # (0.3.31) splits the inner sum differently at different thread counts, which
@@ -106,22 +117,24 @@ class QuadratureResult:
 
 @dataclass(frozen=True)
 class FactorTerm:
-    """coef * prod_k exp(exponents[k][a_k]) * prod_{i<j} pairs[i, j][a_i, a_j].
+    """coef * prod_k exp(exponents[k][a_k]) * prod_r T_r[a_i, a_j], (i, j) = pairs[r].
 
-    exponents holds one length-N complex array per line; pairs maps a line
-    pair (i, j), i < j, to an (N, N) table indexed (node on i, node on j).
-    A pair missing from the map contributes 1.
+    exponents holds one length-N complex array per line.  pairs lists line
+    pairs (i, j), i < j, and tables[r] is pair r's offset vector of length
+    2N-1: T_r[a, b] = tables[r][a - b + N - 1] (see the grid invariant).  A
+    pair not listed contributes 1.
     """
 
     exponents: tuple
-    pairs: dict = field(default_factory=dict)
+    pairs: tuple = ()
+    tables: np.ndarray | None = None
     coef: complex = 1.0
 
 
 class Placement(NamedTuple):
     """One step of a placement order, into state dst.
 
-    The step multiplies in tables[key] for every (u, key) in `tables`, each a
+    The step multiplies in table row r for every (u, r) in `tables`, each a
     table between `line` and line u.  When `closes` is not None the step is
     the line's last: exp(exponents[line][closes]) goes in and the line is
     summed out.
@@ -130,7 +143,7 @@ class Placement(NamedTuple):
     dst: int
     line: int
     tables: tuple = ()
-    closes: object = None
+    closes: int | None = None
 
 
 @dataclass(frozen=True)
@@ -140,28 +153,33 @@ class Interleavings:
     steps[s] holds the Placements out of state s.  Every path starts at
     state 0, steps to higher states only, ends at the last state (which no
     step leaves) and closes each line once.  A state no line has closed at
-    yet must be reached by one path.  exponents holds per line a map from
-    closing key to length-N complex exponent; tables maps keys to (N, N)
-    tables indexed (node on the lower line, node on the higher line).
+    yet must be reached by one path.  exponents holds per line a (rows, N)
+    complex array, one row per way the line can close; tables is the (K, 2N-1)
+    stack of offset vectors, row r the table T[a, b] = tables[r, a - b + N - 1]
+    indexed (node on the lower line, node on the higher line).
     """
 
     steps: tuple
     exponents: tuple
-    tables: dict
+    tables: np.ndarray
     coef: complex = 1.0
 
 
 def _one_order(term: FactorTerm) -> Interleavings:
     """A single product as a one-path sum: lines close last to first, each
     taking its tables to the lines still open."""
-    lines = len(term.exponents)
+    exponents = tuple(np.asarray(e)[None, :] for e in term.exponents)
+    lines = len(exponents)
+    rows = {pair: r for r, pair in enumerate(term.pairs)}
     steps = tuple(
         (Placement(dst=i + 1, line=k, closes=0,
-                   tables=tuple((u, (u, k)) for u in range(k) if (u, k) in term.pairs)),)
+                   tables=tuple((u, rows[u, k]) for u in range(k) if (u, k) in rows)),)
         for i, k in enumerate(range(lines - 1, -1, -1))
     ) + ((),)
-    exponents = tuple({0: np.asarray(e)} for e in term.exponents)
-    return Interleavings(steps, exponents, term.pairs, term.coef)
+    tables = term.tables
+    if not rows:
+        tables = np.empty((0, 2 * exponents[0].shape[1] - 1), dtype=complex)
+    return Interleavings(steps, exponents, tables, term.coef)
 
 
 def line_nodes(plan: ContourPlan, line_index: int) -> list[tuple[complex, float]]:
@@ -172,28 +190,40 @@ def line_nodes(plan: ContourPlan, line_index: int) -> list[tuple[complex, float]
 
 
 def _grid_1d(plan: ContourPlan):
-    y = np.linspace(-plan.half_width, plan.half_width, plan.nodes_per_line)
+    # the nodes of np.linspace(-T, T, N), formed as it forms them (k*h - T,
+    # the last node set to T), without its call overhead
+    y = np.arange(plan.nodes_per_line) * plan.spacing - plan.half_width
+    y[-1] = plan.half_width
     w = np.full(plan.nodes_per_line, plan.spacing / _TWO_PI)
     w[0] *= 0.5
     w[-1] *= 0.5
     return y, w
 
 
-def _node_differences(Z, i, j):
-    """w_i - w_j by node offset: entry m + N - 1 is Z[i, a] - Z[j, b] for
-    every a - b = m, m = -(N-1)..N-1.  Holds only under the grid invariant
-    (see the module docstring): the lines share one uniform y."""
-    return np.concatenate((Z[i][0] - Z[j][::-1], Z[i][1:] - Z[j][0]))
+def _node_differences(zi, zj):
+    """w_i - w_j by node offset: entry m + N - 1 is zi[a] - zj[b] for every
+    a - b = m, m = -(N-1)..N-1.  zi and zj are lines, or stacks of lines
+    that broadcast against each other, giving one row per line pair.  Holds
+    only under the grid invariant (see the module docstring): the lines
+    share one uniform y."""
+    return np.concatenate((zi[..., :1] - zj[..., ::-1], zi[..., 1:] - zj[..., :1]), axis=-1)
 
 
 def _toeplitz_table(g):
     """The read-only (N, N) view T[a, b] = g[a - b + N - 1] of a vector g
-    of length 2N-1 indexed by node offset, as _node_differences returns.
-    Row a starts at g[a + N - 1] and runs back towards g[a]: every entry
-    lies inside g."""
-    n = (g.size + 1) // 2
-    step = g.strides[0]
-    return as_strided(g[n - 1:], shape=(n, n), strides=(step, -step), writeable=False)
+    of length 2N-1 indexed by node offset, as _node_differences returns, or
+    one such view per row of a stack of them.  Row a starts at g[a + N - 1]
+    and runs back towards g[a]: every entry lies inside g."""
+    n = (g.shape[-1] + 1) // 2
+    step = g.strides[-1]
+    return as_strided(g[..., n - 1:], shape=g.shape[:-1] + (n, n),
+                      strides=g.strides[:-1] + (step, -step), writeable=False)
+
+
+def _square(fac):
+    """The (N, N) table of a factor (g, view): its view, or one made of g."""
+    g, view = fac
+    return _toeplitz_table(g) if view is None else view
 
 
 def check_grid_size(plan: ContourPlan, num_lines: int):
@@ -207,38 +237,46 @@ def check_grid_size(plan: ContourPlan, num_lines: int):
         )
 
 
-def _vet_exponent(e, k, Z):
-    bad = ~np.isfinite(e)
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise NumericsError(
-            f"integrand factor not finite on line {k + 1} at w_{k + 1}={Z[k, j]:.6g}, "
-            f"grid indices [{j}]"
-        )
-
-
-def _vet_table(table, i, j, Z):
-    bad = ~np.isfinite(table)
-    if bad.any():
-        a, b = np.unravel_index(int(np.argmax(bad)), table.shape)
-        raise NumericsError(
-            f"integrand factor not finite on lines {i + 1},{j + 1} at "
-            f"w_{i + 1}={Z[i, a]:.6g}, w_{j + 1}={Z[j, b]:.6g}, grid indices [{a}, {b}]"
-        )
-
-
 def _line_vectors(exponents, w, Z):
-    """Per line, the closing vectors exp(1j Im e) * w * exp(Re e - s_k) and
-    the log-scale s_k, the largest Re e over every exponent of line k."""
-    vectors, scales = [], []
-    for k, by_key in enumerate(exponents):
-        for e in by_key.values():
-            _vet_exponent(e, k, Z)
-        s = max(float(e.real.max()) for e in by_key.values())
-        vectors.append({key: np.exp(1j * e.imag) * w * np.exp(e.real - s)
-                        for key, e in by_key.items()})
-        scales.append(s)
-    return vectors, scales
+    """Per line, the closing vectors exp(1j Im e) * w * exp(Re e - s_k), one
+    row per exponent row, and the sum of the log-scales s_k, each the largest
+    Re e over line k's exponents."""
+    vectors, log = [], 0.0
+    for k, e in enumerate(exponents):
+        finite = np.isfinite(e)
+        if not finite.all():
+            j = int(np.argmin(finite)) % e.shape[1]
+            raise NumericsError(
+                f"integrand factor not finite on line {k + 1} at w_{k + 1}={Z[k, j]:.6g}, "
+                f"grid indices [{j}]"
+            )
+        s = float(e.real.max())
+        vectors.append(np.exp(1j * e.imag) * w * np.exp(e.real - s))
+        log += s
+    return vectors, log
+
+
+def _vet_tables(term: Interleavings, Z):
+    """Refuse a term whose tables hold a non-finite value, naming the line
+    pair and one node pair (a, b) whose offset a - b holds it."""
+    if not term.tables.size:
+        return
+    finite = np.isfinite(term.tables)
+    if finite.all():
+        return
+    row, m = divmod(int(np.argmin(finite)), term.tables.shape[1])
+    m -= Z.shape[1] - 1  # the node offset a - b
+    a = max(m, 0)
+    lines = next(((min(s.line, u), max(s.line, u)) for steps in term.steps for s in steps
+                  for u, r in s.tables if r == row), None)
+    if lines is None:
+        raise NumericsError(f"integrand table {row}, which no step uses, not finite "
+                            f"at node offset {m}")
+    i, j = lines
+    raise NumericsError(
+        f"integrand factor not finite on lines {i + 1},{j + 1} at "
+        f"w_{i + 1}={Z[i, a]:.6g}, w_{j + 1}={Z[j, a - m]:.6g}, grid indices [{a}, {a - m}]"
+    )
 
 
 def _spread(table, ak, au, ndim):
@@ -271,45 +309,53 @@ def _matmul(a, b):
 def _sum_out(core, axis, v, facs):
     """Sum line k out of a message.  core spans the open lines with k on
     `axis` (None: no line summed out yet); v is line k's vector and facs its
-    tables to the other open lines, in line order, each indexed (node on k,
-    node on u).  Returns the message over the other open lines."""
+    tables to the other open lines, in line order, each a factor oriented
+    (node on k, node on u).  Returns the message over the other open lines."""
     if core is None:
         if not facs:
             return complex(v.sum())
-        first = facs[0] * v[:, None]
-        if len(facs) == 1:
-            return first.sum(axis=0)
+        if len(facs) == 1:  # out[b] = sum_a v[a] g[a - b + N - 1]
+            return np.convolve(facs[0][0][::-1], v, "valid")
+        first = _square(facs[0]) * v[:, None]
         if len(facs) == 2:
-            return _matmul(first.T, facs[1])
+            return _matmul(first.T, _square(facs[1]))
         n = v.size
         # out[a, b, c] = sum_d v[d] F0[d, a] F1[d, b] F2[d, c]
-        lhs = np.multiply(first.T[:, None, :], facs[1].T[None, :, :], order="C")
+        lhs = np.multiply(first.T[:, None, :], _square(facs[1]).T[None, :, :], order="C")
         lhs = lhs.reshape(n * n, n)
-        return _matmul(lhs, facs[2]).reshape(n, n, n)
+        return _matmul(lhs, _square(facs[2])).reshape(n, n, n)
     if core.ndim == 1:
-        return complex((core * v).sum())
+        return complex(core @ v)
     others = [a for a in range(core.ndim) if a != axis]
-    prod = core * _spread(facs[0] * v[:, None], axis, others[0], core.ndim)
+    prod = core * _spread(_square(facs[0]) * v[:, None], axis, others[0], core.ndim)
     for f, au in zip(facs[1:], others[1:]):
-        prod *= _spread(f, axis, au, core.ndim)
+        prod *= _spread(_square(f), axis, au, core.ndim)
     return prod.sum(axis=axis)
 
 
 # A message is (open, core, pending): the lines not yet summed out,
 # ascending (core's axes once it exists); core, None until a line is summed
-# out, then an array (a scalar at the end); and pending, line pair -> product
-# of the tables not yet multiplied into core.
+# out, then an array (a scalar at the end); and pending, line pair (i, j),
+# i < j -> the factor of the tables not yet multiplied into core.  A factor
+# is (g, view): an offset vector and its (N, N) view, oriented (node on i,
+# node on j); reversing g and transposing the view flip it.  Tables of one
+# pair multiply on their offsets, and their product gets a view (None until
+# then) only where it meets a dense message.
 
 
 def _advance(msg, step, vectors, tables):
     open_, core, pending = msg
     k = step.line
     if step.tables:
+        stack, views = tables
         pending = dict(pending)
-        for u, key in step.tables:
+        for u, row in step.tables:
             pair = (k, u) if k < u else (u, k)
-            table = tables[key]
-            pending[pair] = table if pair not in pending else pending[pair] * table
+            old = pending.get(pair)
+            if old is None:
+                pending[pair] = (stack[row], views[row])
+            else:
+                pending[pair] = (old[0] * stack[row], None)
     if step.closes is None:
         return open_, core, pending
     axis = open_.index(k)
@@ -317,13 +363,14 @@ def _advance(msg, step, vectors, tables):
     v = vectors[k][step.closes]
     facs = []
     for u in rest:
-        table = pending.get((k, u) if k < u else (u, k))
-        if table is None:  # a line pair without a table contributes 1
-            table = np.ones((v.size, v.size))
-        facs.append(table if k < u else table.T)
+        fac = pending.get((k, u) if k < u else (u, k))
+        if fac is None:  # a line pair without a table contributes 1
+            fac = (np.ones(2 * v.size - 1), None)
+        g, view = fac
+        facs.append(fac if k < u else (g[::-1], None if view is None else view.T))
     core = _sum_out(core, axis, v, facs)
     if pending:
-        pending = {pair: t for pair, t in pending.items() if k not in pair}
+        pending = {pair: fac for pair, fac in pending.items() if k not in pair}
     return rest, core, pending
 
 
@@ -335,8 +382,8 @@ def _deposit(acc, state, msg):
             raise ValueError(f"state {state} is reached by two paths before any line closes")
         acc[state] = msg
         return
-    for (i, j), table in pending.items():
-        core = core * _spread(table, open_.index(i), open_.index(j), core.ndim)
+    for (i, j), fac in pending.items():
+        core = core * _spread(_square(fac), open_.index(i), open_.index(j), core.ndim)
     prev = acc.get(state)
     acc[state] = (open_, core if prev is None else prev[1] + core, {})
 
@@ -358,7 +405,10 @@ def _push(steps, msg, ctx):
 def _sum_orders(term: Interleavings, vectors, tables):
     """The term's sum over placement orders on one grid, before coef."""
     acc = {0: (tuple(range(len(term.exponents))), None, {})}
-    ctx = (term.steps, acc, vectors, tables)
+    # every table's (N, N) view, made once per grid; at one or two lines no
+    # table meets a dense message, so none is needed
+    views = _toeplitz_table(tables) if len(term.exponents) > 2 else (None,) * len(tables)
+    ctx = (term.steps, acc, vectors, (tables, views))
     last = len(term.steps) - 1
     for state in range(last):
         msg = acc.pop(state, None)
@@ -371,30 +421,21 @@ def _trapezoid_sums(f, plan: ContourPlan, num_lines: int, re_parts):
     """Full and embedded-coarse trapezoid sums of a factored integrand."""
     y, w = _grid_1d(plan)
     Z = re_parts[:, None] + 1j * y[None, :]
+    offsets = 2 * plan.nodes_per_line - 1
     value, coarse = ScaledComplex.zero(), ScaledComplex.zero()
     for term in f(Z):
         if isinstance(term, FactorTerm):
             term = _one_order(term)
         if len(term.exponents) != num_lines:
             raise ValueError(f"integrand term has {len(term.exponents)} lines, need {num_lines}")
-        vectors, scales = _line_vectors(term.exponents, w, Z)
-        log = 0.0
-        for s in scales:
-            log += s
-        seen = set()
-        for steps in term.steps:
-            for step in steps:
-                for u, key in step.tables:
-                    if key not in seen:
-                        seen.add(key)
-                        _vet_table(term.tables[key], min(step.line, u), max(step.line, u), Z)
+        if term.tables.ndim != 2 or term.tables.shape[1] != offsets:
+            raise ValueError(f"integrand tables must be offset vectors stacked ({offsets} "
+                             f"columns), got shape {term.tables.shape}")
+        vectors, log = _line_vectors(term.exponents, w, Z)
+        _vet_tables(term, Z)
         full = _sum_orders(term, vectors, term.tables)
         # every other node: spacing 2h, so weights double on each line
-        half = _sum_orders(
-            term,
-            [{key: 2.0 * v[::2] for key, v in by_key.items()} for by_key in vectors],
-            {key: table[::2, ::2] for key, table in term.tables.items()},
-        )
+        half = _sum_orders(term, [2.0 * v[:, ::2] for v in vectors], term.tables[:, ::2])
         for s_val in (full, half):
             if not (math.isfinite(s_val.real) and math.isfinite(s_val.imag)):
                 raise NumericsError(f"contracted integrand term not finite: {s_val}")
@@ -408,7 +449,8 @@ def integrate_tensor(f, plan: ContourPlan, num_lines: int, decay_rates=None, abs
 
     f(Z) -> sequence of FactorTerm or Interleavings, with Z of shape
     (num_lines, N) holding each line's nodes, all lines on the same
-    imaginary parts (the grid invariant above).  Line k sits at
+    imaginary parts (the grid invariant above), and each term's tables
+    given as offset vectors of length 2N-1.  Line k sits at
     Re w = theta + k*epsilon unless explicit `abscissas` override the real
     parts.  decay_rates (per-line Gaussian coefficients a_k with
     |integrand| ~ exp(-a_k y_k^2)) feed the tail bound.
@@ -421,15 +463,15 @@ def integrate_tensor(f, plan: ContourPlan, num_lines: int, decay_rates=None, abs
         )
     if abscissas is not None:
         abscissas = tuple(float(a) for a in abscissas)
-        if len(abscissas) != num_lines:
-            raise ValueError(f"need {num_lines} abscissas, got {len(abscissas)}")
+        if len(abscissas) != num_lines or not all(map(math.isfinite, abscissas)):
+            raise ValueError(f"need {num_lines} finite abscissas, got {abscissas}")
         re_parts = np.array(abscissas)
     else:
         re_parts = plan.theta + plan.epsilon * np.arange(num_lines)
     if decay_rates is not None:
         decay_rates = tuple(float(a) for a in decay_rates)
-        if len(decay_rates) != num_lines or any(a <= 0 for a in decay_rates):
-            raise ValueError(f"need {num_lines} positive decay rates, got {decay_rates}")
+        if len(decay_rates) != num_lines or not all(0 < a < math.inf for a in decay_rates):
+            raise ValueError(f"need {num_lines} positive finite decay rates, got {decay_rates}")
     check_grid_size(plan, num_lines)
 
     value, coarse = _trapezoid_sums(f, plan, num_lines, re_parts)

@@ -237,6 +237,38 @@ def test_five_point_four_line_partition_pinned():
     assert rel_diff(res.value, want) <= 1e-12
 
 
+# Full-cluster terms (n) at n = 1..4, recorded before the factor protocol
+# moved to stacked exponent rows and offset-vector tables: a single line's
+# arithmetic did not change, so the values must not move in any bit.
+FULL_CLUSTER_PINS = [
+    (0.8, (-0.4,),
+     complex(0.8920620580763856, 0.0), -0.7931471805599453, 0.0),
+    (2.5, (0.0,),
+     complex(0.504626504404032, 0.0), -0.6931471805599453, 2.200088609963798e-16),
+    (0.8, (-0.4, 0.1),
+     complex(0.63078313050504, 0.0), -0.7712721805599453, 1.8318303949404317e-33),
+    (2.5, (0.0, 0.3),
+     complex(0.7136496464611086, -7.219132994274684e-18), -0.9202943611198906, 1.5563775889098057e-16),
+    (0.8, (-0.4, 0.1, 0.7),
+     complex(0.5150322693642528, -4.461703199274142e-19), -0.3333333333333333, 5.361551163102297e-19),
+    (2.5, (0.0, 0.3, 0.9),
+     complex(0.5826924963157755, -3.2484225433819242e-18), 0.8108528194400549, 1.906147037972789e-16),
+    (0.8, (-0.4, 0.1, 0.7, 1.0),
+     complex(0.6690465435572892, -7.995289473770819e-19), -0.01310281944005498, 1.2187597950883542e-18),
+    (2.5, (0.0, 0.3, 0.9, 1.6),
+     complex(0.7569397566060481, -2.8888949165808538e-34), 3.1580000000000004, 3.8165453609333955e-34),
+]
+
+
+@pytest.mark.parametrize("t,x,mantissa,log_scale,step", FULL_CLUSTER_PINS,
+                         ids=[f"n{len(x)}-t{t}" for t, x, *_ in FULL_CLUSTER_PINS])
+def test_full_cluster_term_bits_pinned(t, x, mantissa, log_scale, step):
+    res = cluster_integral(MomentRequest(t, x), Partition((len(x),)))
+    assert res.value.mantissa == mantissa
+    assert res.value.log_scale == log_scale
+    assert res.step_estimate == step
+
+
 def test_size_guards():
     with pytest.raises(UnsupportedDimensionError):
         moment_partition_sum(MomentRequest(1.0, (0.0,) * 5))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -179,6 +180,53 @@ def test_nonfinite_integrand_reports_node():
         integrate_tensor(f, plan, 1)
 
 
+
+@pytest.mark.parametrize("rates", [(math.nan,), (math.inf,), (0.0,), (-1.0,), (0.5, 0.5)],
+                         ids=["nan", "inf", "zero", "negative", "count"])
+def test_bad_decay_rates_refused_up_front(rates):
+    # a NaN rate once passed the positivity check and came back as tail_bound nan
+    calls = []
+    plan = ContourPlan(theta=0.0, epsilon=0.0, half_width=8.0, nodes_per_line=65)
+    with pytest.raises(ValueError, match="positive finite decay rates"):
+        integrate_tensor(lambda Z: calls.append(Z), plan, 1, decay_rates=rates)
+    assert not calls
+
+
+@pytest.mark.parametrize("abscissas", [(math.nan,), (math.inf,), (0.0, 1.0)],
+                         ids=["nan", "inf", "count"])
+def test_bad_abscissas_refused_up_front(abscissas):
+    # a non-finite abscissa once surfaced as a NumericsError about the integrand
+    calls = []
+    plan = ContourPlan(theta=0.0, epsilon=0.0, half_width=8.0, nodes_per_line=65)
+    with pytest.raises(ValueError, match="finite abscissas"):
+        integrate_tensor(lambda Z: calls.append(Z), plan, 1, abscissas=abscissas)
+    assert not calls
+
+
+_BAD_TABLE = re.compile(r"lines (\d),(\d) at .* grid indices \[(\d+), (\d+)\]")
+
+
+@pytest.mark.parametrize("lines,pair,offset", [(2, (0, 1), -3), (2, (0, 1), 5),
+                                               (3, (0, 2), 0), (3, (1, 2), -6)])
+def test_nonfinite_table_reports_line_pair_and_nodes(lines, pair, offset):
+    # one bad value in a table's offset vector: the vet names the line pair
+    # and a node pair (a, b) on the grid whose offset a - b holds it
+    n = 7
+    pairs = tuple((i, j) for i in range(lines) for j in range(i + 1, lines))
+
+    def f(Z):
+        tables = np.ones((len(pairs), 2 * n - 1), dtype=complex)
+        tables[pairs.index(pair), offset + n - 1] = complex(math.inf, 0.0)
+        return (FactorTerm(tuple(0.5 * z * z for z in Z), pairs, tables),)
+
+    plan = ContourPlan(theta=0.0, epsilon=0.1, half_width=2.0, nodes_per_line=n)
+    with pytest.raises(NumericsError) as err:
+        integrate_tensor(f, plan, lines)
+    i, j, a, b = map(int, _BAD_TABLE.search(str(err.value)).groups())
+    assert (i - 1, j - 1) == pair
+    assert 0 <= a < n and 0 <= b < n and a - b == offset
+
+
 def _node_sweep(values, plan, re_parts):
     """Full and every-other-node trapezoid sums of values(W), with W of shape
     (lines, nodes) holding every node of the tensor grid at once."""
@@ -276,7 +324,7 @@ def test_toeplitz_table_views_node_differences():
     y = np.linspace(-4.0, 4.0, 9)
     Z = np.array([0.25, -0.5, 1.75])[:, None] + 1j * y[None, :]
     for i, j in itertools.permutations(range(3), 2):
-        g = quadrature._node_differences(Z, i, j)
+        g = quadrature._node_differences(Z[i], Z[j])
         table = quadrature._toeplitz_table(g)
         assert g.shape == (17,) and np.shares_memory(table, g)
         assert np.array_equal(table, Z[i][:, None] - Z[j][None, :])
@@ -295,9 +343,9 @@ def _pair_differences(Z, i, j):
 
 
 def _direct_cluster_tables(Z, parts):
-    """Every placement table from its N^2 node-pair differences."""
+    """Every placement table from its N^2 node-pair differences, by row."""
     tables = {}
-    for name, (keys, pair) in _placements(parts).tables.items():
+    for row, (keys, pair) in enumerate(_placements(parts).tables):
         table = np.ones((Z.shape[1],) * 2, dtype=complex)
         if pair is not None:
             i, j = pair
@@ -307,7 +355,7 @@ def _direct_cluster_tables(Z, parts):
         for cu, cv, off in keys:
             den = _pair_differences(Z, cu, cv) + off
             table = table * (den - 1.0) / den
-        tables[name] = table
+        tables[row] = table
     return tables
 
 
@@ -316,10 +364,12 @@ TABLE_CASES += [Partition((2, 2, 1))]  # its clusters of two stay partly placed
 
 
 def _assert_tables_match(got, want):
+    # got maps keys to offset vectors, each expanded here to its N x N table
     assert got.keys() == want.keys()
     for key, table in want.items():
-        assert got[key].shape == table.shape
-        assert np.all(np.abs(got[key] - table) <= 1e-14 * np.abs(table)), key
+        assert got[key].shape == (2 * table.shape[0] - 1,)
+        expanded = quadrature._toeplitz_table(got[key])
+        assert np.all(np.abs(expanded - table) <= 1e-14 * np.abs(table)), key
 
 
 @pytest.mark.parametrize("nodes", [11, 35])
@@ -330,7 +380,7 @@ def test_cluster_tables_match_node_pair_form(p, nodes):
     plan = auto_cluster_plan(ORACLE_T, p, x, nodes=nodes)
     Z = _grid(plan, plan.theta + plan.epsilon * np.arange(p.length))
     (term,) = cluster_integrand_batch(ORACLE_T, x, p)(Z)
-    _assert_tables_match(term.tables, _direct_cluster_tables(Z, p.parts))
+    _assert_tables_match(dict(enumerate(term.tables)), _direct_cluster_tables(Z, p.parts))
 
 
 @pytest.mark.parametrize("nodes", [11, 35])
@@ -344,7 +394,7 @@ def test_nested_tables_match_node_pair_form(n, nodes):
     for i, j in itertools.combinations(range(n), 2):
         d = _pair_differences(Z, i, j)
         want[i, j] = d / (d - 1.0)
-    _assert_tables_match(term.pairs, want)
+    _assert_tables_match(dict(zip(term.pairs, term.tables)), want)
 
 
 @pytest.mark.parametrize("nodes", [11, 35])
@@ -412,6 +462,31 @@ def test_four_line_recursion_keeps_two_cubes_live(route):
     finally:
         tracemalloc.stop()
     assert peak < 3.0 * n**3 * 16
+
+
+def test_two_line_term_never_forms_a_square_table():
+    # a two-line term sums its lines out by convolution with the offset
+    # vectors: at N = 401 its peak stays below one N x N complex array
+    n = 401
+    p = Partition((1, 1))
+    plan = auto_cluster_plan(ORACLE_T, p, ORACLE_X[:2], nodes=n)
+    f = cluster_integrand_batch(ORACLE_T, ORACLE_X[:2], p)
+    integrate_tensor(f, plan, 2)  # caches filled outside the measurement
+    tracemalloc.start()
+    try:
+        integrate_tensor(f, plan, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 16
+
+
+def test_integrand_closures_keep_their_qualnames():
+    # bench/tracer.py books integrand time by these qualified names
+    f = cluster_integrand_batch(ORACLE_T, ORACLE_X[:2], Partition((1, 1)))
+    g = _nested_integrand(ORACLE_T, np.asarray(ORACLE_X[:2]), DEFAULT_MIN_SEPARATION)
+    assert f.__qualname__ == "cluster_integrand_batch.<locals>.f"
+    assert g.__qualname__ == "_nested_integrand.<locals>.f"
 
 
 def test_nested_pole_gap_refused():
