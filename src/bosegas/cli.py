@@ -28,22 +28,19 @@ from . import __version__
 from .errors import BosegasError, UnsupportedDimensionError
 from .kernel import cauchy_determinant
 from .moments import (
-    MAX_SUM_SIZE,
     MomentRequest,
     asymptotic_ratio,
     auto_cluster_plan,
-    auto_nested_plan,
+    cluster_breakdown,
     cluster_integral,
     combine_results,
-    default_abscissas,
     default_epsilon,
-    leading_asymptotic,
     moment_nested_contours,
     moment_partition_sum,
     optimal_theta,
 )
-from .partitions import Partition, enumerate_partitions
-from .quadrature import QuadratureResult, check_grid_size
+from .partitions import enumerate_partitions
+from .quadrature import QuadratureResult
 from .scaled import ScaledComplex
 from .spectral import SpacePoints, verify_gap
 
@@ -85,7 +82,7 @@ def _emit_json(inputs, results, errors, seed=None):
         "version": __version__,
         "seed": seed,
     }
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    sys.stdout.write(json.dumps(doc) + "\n")
 
 
 def _points_from_args(parser, args) -> SpacePoints:
@@ -103,31 +100,18 @@ def _points_from_args(parser, args) -> SpacePoints:
 
 def _cmd_moment(parser, args) -> int:
     pts = _points_from_args(parser, args)
-    t = args.t
-    overrides = dict(nodes=args.nodes, theta=args.theta, epsilon=args.epsilon,
-                     half_width=args.half_width)
-    rows: list[tuple[str, QuadratureResult]] = []
+    if args.route == "nested" and (args.theta is not None or args.epsilon is not None):
+        parser.error("--theta/--epsilon apply to the partition route only")
+    req = MomentRequest(args.t, pts)
+    overrides = dict(nodes=args.nodes, half_width=args.half_width)
     if args.route == "partition":
-        if pts.n > MAX_SUM_SIZE:
-            raise UnsupportedDimensionError(
-                f"full partition sum supports n <= {MAX_SUM_SIZE}, got n={pts.n}"
-            )
-        plans = [(p, auto_cluster_plan(t, p, pts, **overrides))
-                 for p in enumerate_partitions(pts.n)]
-        for p, plan in plans:  # refuse an oversize grid before any work
-            check_grid_size(plan, p.length)
-        for p, plan in plans:
-            res = cluster_integral(MomentRequest(t, pts, plan=plan), p)
-            rows.append((str(p), res))
+        pieces = cluster_breakdown(req, theta=args.theta, epsilon=args.epsilon, **overrides)
+        rows = [(str(p), res) for p, res in pieces]
         total = combine_results(r for _, r in rows)
     else:
-        if args.theta is not None or args.epsilon is not None:
-            parser.error("--theta/--epsilon apply to the partition route only")
-        a = default_abscissas(pts.n, t, pts)
-        plan = auto_nested_plan(t, a, nodes=args.nodes, half_width=args.half_width)
-        total = moment_nested_contours(MomentRequest(t, pts, plan=plan), abscissas=a)
+        rows, total = [], moment_nested_contours(req, **overrides)
 
-    inputs = {"command": "moment", "t": t, "x": list(pts.coords), "route": args.route,
+    inputs = {"command": "moment", "t": args.t, "x": list(pts.coords), "route": args.route,
               "nodes": args.nodes, "theta": args.theta, "epsilon": args.epsilon,
               "half_width": args.half_width}
     if args.format == "json":

@@ -450,7 +450,7 @@ def _frozen(values, dtype):
     return out
 
 
-def cluster_integrand_batch(t, x, partition: Partition, min_separation=DEFAULT_MIN_SEPARATION):
+def cluster_integrand_batch(t, x, partition: Partition):
     """Factored integrand f(Z) -> (Interleavings,) for integrate_tensor, Z of
     shape (l, N) holding each line's base points: the sum over the surviving
     permutations as a recursion over placements (see _placements).
@@ -500,7 +500,7 @@ def cluster_integrand_batch(t, x, partition: Partition, min_separation=DEFAULT_M
         if ell > 1:
             diffs = _node_differences(Z[lower], Z[upper])[:, None, :]
             den = diffs * den_sign + den_shift
-            _refuse_poles(den[graph.pole_mask], graph.pole_keys, min_separation)
+            _refuse_poles(den[graph.pole_mask], graph.pole_keys, DEFAULT_MIN_SEPARATION)
             tables = (diffs * num_sign + num_shift).prod(axis=1) / den.prod(axis=1)
         return (Interleavings(graph.steps, exponents, tables, coef),)
 

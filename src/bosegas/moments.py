@@ -35,10 +35,12 @@ from .quadrature import (
     FactorTerm,
     QuadratureResult,
     _node_differences,
+    check_grid_size,
     integrate_tensor,
 )
 from .scaled import ScaledComplex
-from .spectral import SpacePoints, log_ground_state, lyapunov_exponent, optimal_theta
+from .spectral import (SpacePoints, log_ground_state, lyapunov_exponent, optimal_theta,
+                       sorted_pairing_exponent)
 
 MAX_SUM_SIZE = 4  # full partition sum / nested contours
 MAX_TOP_SIZE = 9  # single full-cluster integral
@@ -64,6 +66,12 @@ class MomentRequest:
     @property
     def n(self) -> int:
         return self.x.n
+
+
+def _refuse_plan_and_overrides(req: MomentRequest, overrides):
+    """A route sizes its own plan from the overrides, or takes req.plan as is."""
+    if req.plan is not None and any(v is not None for v in overrides.values()):
+        raise ValueError("give req.plan or plan overrides, not both")
 
 
 def default_epsilon(n: int) -> float:
@@ -125,8 +133,7 @@ def auto_cluster_plan(t: float, p: Partition, x, nodes: int | None = None,
                        nodes_per_line=int(nodes))
 
 
-def cluster_integral(req: MomentRequest, p: Partition,
-                     min_separation: float = DEFAULT_MIN_SEPARATION) -> QuadratureResult:
+def cluster_integral(req: MomentRequest, p: Partition) -> QuadratureResult:
     """One partition's contour integral (the term nu_lambda of the expansion)."""
     if p.n != req.n:
         raise ValueError(f"partition of {p.n} against {req.n} points")
@@ -147,18 +154,31 @@ def cluster_integral(req: MomentRequest, p: Partition,
                 f"need 0 < epsilon < 1/(n-1) = {hi:.6g} for {p.length} lines at n={p.n}, "
                 f"got {plan.epsilon}"
             )
-    f = cluster_integrand_batch(req.t, req.x, p, min_separation=min_separation)
+    f = cluster_integrand_batch(req.t, req.x, p)
     rates = tuple(lam * req.t / 2.0 for lam in p.parts)
     return integrate_tensor(f, plan, p.length, decay_rates=rates)
 
 
-def cluster_breakdown(req: MomentRequest) -> tuple[tuple[Partition, QuadratureResult], ...]:
-    """Every partition's integral, enumeration order (full cluster first)."""
+def cluster_breakdown(req: MomentRequest,
+                      **overrides) -> tuple[tuple[Partition, QuadratureResult], ...]:
+    """Every partition's integral, enumeration order (full cluster first).
+
+    Each partition's plan is req.plan, or auto_cluster_plan sized with the
+    overrides it takes (nodes, theta, epsilon, half_width).  Every plan is
+    checked against the array limit before any integral is computed, so an
+    oversize grid fails at once.
+    """
     if req.n > MAX_SUM_SIZE:
         raise UnsupportedDimensionError(
             f"full partition sum supports n <= {MAX_SUM_SIZE}, got n={req.n}"
         )
-    return tuple((p, cluster_integral(req, p)) for p in enumerate_partitions(req.n))
+    _refuse_plan_and_overrides(req, overrides)
+    plans = [(p, req.plan or auto_cluster_plan(req.t, p, req.x, **overrides))
+             for p in enumerate_partitions(req.n)]
+    for p, plan in plans:
+        check_grid_size(plan, p.length)
+    return tuple((p, cluster_integral(MomentRequest(req.t, req.x, plan), p))
+                 for p, plan in plans)
 
 
 def combine_results(pieces) -> QuadratureResult:
@@ -221,10 +241,9 @@ def top_cluster_closed_form(t: float, x) -> ScaledComplex:
     pts = SpacePoints.of(x)
     n = pts.n
     s = sum(pts.coords)
-    pairing = sum(c * ((n + 1) / 2 - i) for i, c in enumerate(pts.ordered, start=1))
     log = (
         float(lyapunov_exponent(n)) * t
-        + pairing
+        + sorted_pairing_exponent(pts)
         - s * s / (2.0 * n * t)
         + math.lgamma(n)
         - 0.5 * math.log(2.0 * math.pi * n * t)
@@ -250,12 +269,10 @@ def leading_asymptotic(t: float, x) -> ScaledComplex:
 DEFAULT_NESTED_SPACING = 1.5
 
 
-def default_abscissas(n: int, t: float, x, spacing: float = DEFAULT_NESTED_SPACING):
-    """Descending abscissas with the given gap, shifted to center the saddle."""
-    if spacing <= 1.0:
-        raise ValueError(f"abscissa spacing must exceed 1, got {spacing}")
+def default_abscissas(n: int, t: float, x):
+    """Descending abscissas DEFAULT_NESTED_SPACING apart, centered on the saddle."""
     pts = SpacePoints.of(x)
-    raw = [(n - k) * spacing for k in range(1, n + 1)]
+    raw = [(n - k) * DEFAULT_NESTED_SPACING for k in range(1, n + 1)]
     shift = -(sum(raw) / n + sum(pts.coords) / (n * t))
     return tuple(r + shift for r in raw)
 
@@ -311,14 +328,15 @@ def auto_nested_plan(t: float, abscissas, nodes: int | None = None,
                        half_width=half_width, nodes_per_line=int(nodes))
 
 
-def moment_nested_contours(req: MomentRequest, abscissas=None,
-                           min_separation: float = DEFAULT_MIN_SEPARATION) -> QuadratureResult:
-    """The moment as one n-fold integral over strictly nested contours."""
+def moment_nested_contours(req: MomentRequest, abscissas=None, **overrides) -> QuadratureResult:
+    """The moment as one n-fold integral over strictly nested contours, on
+    req.plan or on auto_nested_plan sized with its overrides (nodes, half_width)."""
     n = req.n
     if n > MAX_SUM_SIZE:
         raise UnsupportedDimensionError(
             f"nested contours support n <= {MAX_SUM_SIZE}, got n={n}"
         )
+    _refuse_plan_and_overrides(req, overrides)
     if abscissas is None:
         abscissas = default_abscissas(n, req.t, req.x)
     a = tuple(float(v) for v in abscissas)
@@ -329,9 +347,9 @@ def moment_nested_contours(req: MomentRequest, abscissas=None,
             raise ValueError(
                 f"abscissas must descend with gaps > 1; a[{i}]={a[i]:.6g} vs a[{i + 1}]={a[i + 1]:.6g}"
             )
-    plan = req.plan if req.plan is not None else auto_nested_plan(req.t, a)
+    plan = req.plan or auto_nested_plan(req.t, a, **overrides)
     x_sorted = np.asarray(req.x.ordered)
-    f = _nested_integrand(req.t, x_sorted, min_separation)
+    f = _nested_integrand(req.t, x_sorted, DEFAULT_MIN_SEPARATION)
     rates = (req.t / 2.0,) * n
     return integrate_tensor(f, plan, n, decay_rates=rates, abscissas=a)
 

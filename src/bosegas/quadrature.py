@@ -182,13 +182,6 @@ def _one_order(term: FactorTerm) -> Interleavings:
     return Interleavings(steps, exponents, tables, term.coef)
 
 
-def line_nodes(plan: ContourPlan, line_index: int) -> list[tuple[complex, float]]:
-    """Nodes and trapezoid weights (h/2pi, halved at the ends) for one line."""
-    y, w = _grid_1d(plan)
-    re = plan.theta + line_index * plan.epsilon
-    return [(complex(re, yi), wi) for yi, wi in zip(y.tolist(), w.tolist())]
-
-
 def _grid_1d(plan: ContourPlan):
     # the nodes of np.linspace(-T, T, N), formed as it forms them (k*h - T,
     # the last node set to T), without its call overhead

@@ -124,10 +124,6 @@ class GapReport:
     all_positive: bool
     min_margin: Fraction | None
 
-    @property
-    def gap(self) -> Fraction | None:
-        return self.min_margin
-
 
 def verify_gap(n: int) -> GapReport:
     """Sweep every partition of n and certify the strict growth gap.

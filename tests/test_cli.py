@@ -10,7 +10,14 @@ import pytest
 import bosegas.cli as cli
 from bosegas import __version__
 from bosegas.cli import TABLE_HEADER, main
-from bosegas.moments import MomentRequest, asymptotic_ratio, moment_partition_sum
+from bosegas.moments import (
+    MomentRequest,
+    asymptotic_ratio,
+    cluster_breakdown,
+    combine_results,
+    moment_nested_contours,
+    moment_partition_sum,
+)
 from bosegas.spectral import GapReport
 
 MOMENT_N1_GOLDEN = (
@@ -76,6 +83,45 @@ def test_table_json_matches_api(capsys):
     api = asymptotic_ratio(MomentRequest(4.0, (0.0, 4.0 ** 0.5)))
     assert row["ratio"] == api.ratio
     assert row["moment"]["log_scale"] == api.moment.value.log_scale
+
+
+def same_result(record, result):
+    """A JSON value record holds exactly the library's result."""
+    return (record["mantissa_re"] == result.value.mantissa.real
+            and record["mantissa_im"] == result.value.mantissa.imag
+            and record["log_scale"] == result.value.log_scale
+            and record["tail_bound"] == result.tail_bound
+            and record["step_estimate"] == result.step_estimate)
+
+
+@pytest.mark.parametrize("t, x, flags, overrides", [
+    (1.0, (0.0,) * 4, ["--nodes", "35"], dict(nodes=35)),
+    (2.0, (0.0, 0.5, 1.0), [], {}),
+])
+def test_partition_json_is_the_library_breakdown(capsys, t, x, flags, overrides):
+    argv = ["moment", "--t", repr(t), "--x", *map(repr, x), "--format", "json", *flags]
+    rc, out = run(capsys, argv)
+    assert rc == 0
+    results = json.loads(out)["results"]
+    pieces = cluster_breakdown(MomentRequest(t, x), **overrides)
+    assert [term["partition"] for term in results["terms"]] == [str(p) for p, _ in pieces]
+    assert all(same_result(term, res) for term, (_, res) in zip(results["terms"], pieces))
+    assert same_result(results["total"], combine_results(res for _, res in pieces))
+
+
+@pytest.mark.parametrize("t, x, flags, overrides", [
+    (1.0, (0.0,) * 4, ["--nodes", "53", "--half-width", "6.5"],
+     dict(nodes=53, half_width=6.5)),
+    (2.0, (0.0, 0.5, 1.0), [], {}),
+])
+def test_nested_json_is_the_library_total(capsys, t, x, flags, overrides):
+    argv = ["moment", "--t", repr(t), "--x", *map(repr, x), "--format", "json",
+            "--route", "nested", *flags]
+    rc, out = run(capsys, argv)
+    assert rc == 0
+    results = json.loads(out)["results"]
+    assert results["terms"] == []
+    assert same_result(results["total"], moment_nested_contours(MomentRequest(t, x), **overrides))
 
 
 def test_csv_floats_have_17_significant_digits(capsys):

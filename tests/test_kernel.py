@@ -7,7 +7,6 @@ import itertools
 import math
 import random
 
-import numpy as np
 import pytest
 
 from bosegas.errors import NearSingularityError, NumericsError

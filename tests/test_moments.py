@@ -11,7 +11,8 @@ import math
 
 import pytest
 
-from bosegas.errors import NearSingularityError, UnsupportedDimensionError
+import bosegas.moments as moments
+from bosegas.errors import NearSingularityError, NumericsError, UnsupportedDimensionError
 from bosegas.moments import (
     MomentRequest,
     RatioResult,
@@ -117,6 +118,42 @@ def test_two_point_breakdown_structure():
     assert rel_to(total, two_point_moment(1.0, 0.0, 0.0)) <= 1e-8
 
 
+def test_breakdown_refuses_oversize_grid_before_any_integrand(monkeypatch):
+    built = []
+    real = moments.cluster_integrand_batch
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(moments, "cluster_integrand_batch", counting)
+    # only 1+1+1+1 is too large, and it comes last in enumeration order
+    with pytest.raises(NumericsError, match="beyond the limit"):
+        cluster_breakdown(MomentRequest(1.0, (0.0,) * 4), nodes=2001)
+    assert built == []
+    cluster_breakdown(MomentRequest(1.0, (0.0, 0.0)), nodes=65)
+    assert len(built) == 2
+
+
+def test_overrides_reach_the_planners():
+    req = MomentRequest(2.0, (0.0, 0.5, 1.0))
+    for p, res in cluster_breakdown(req, nodes=71, theta=0.1, epsilon=0.05):
+        plan = auto_cluster_plan(2.0, p, req.x, nodes=71, theta=0.1, epsilon=0.05)
+        assert res == cluster_integral(MomentRequest(2.0, req.x, plan), p)
+    plan = auto_nested_plan(2.0, default_abscissas(3, 2.0, req.x), nodes=71, half_width=7.0)
+    assert (moment_nested_contours(req, nodes=71, half_width=7.0)
+            == moment_nested_contours(MomentRequest(2.0, req.x, plan)))
+
+
+def test_plan_and_overrides_are_exclusive():
+    plan = ContourPlan(theta=0.0, epsilon=0.1, half_width=8.0, nodes_per_line=65)
+    req = MomentRequest(1.0, (0.0, 0.0), plan=plan)
+    with pytest.raises(ValueError, match="not both"):
+        cluster_breakdown(req, nodes=65)
+    with pytest.raises(ValueError, match="not both"):
+        moment_nested_contours(req, half_width=6.0)
+
+
 # --- n = 3: route against route -------------------------------------------
 
 
@@ -195,8 +232,6 @@ def test_default_abscissas_frozen():
     assert a == pytest.approx((1.5, 0.0, -1.5))
     b = default_abscissas(3, 1.0, (0.0, 0.0, 3.0))
     assert b == pytest.approx((0.5, -1.0, -2.5))
-    with pytest.raises(ValueError):
-        default_abscissas(2, 1.0, (0.0, 0.0), spacing=1.0)
 
 
 def test_auto_nested_plan_uses_pole_gap():

@@ -35,10 +35,10 @@ from bosegas.partitions import Partition, enumerate_partitions
 from bosegas.quadrature import (
     ContourPlan,
     FactorTerm,
+    _grid_1d,
     _trapezoid_sums,
     check_grid_size,
     integrate_tensor,
-    line_nodes,
 )
 
 
@@ -62,12 +62,20 @@ def drift_integrand(t, x):
 
 def test_line_nodes_weights_frozen():
     plan = ContourPlan(theta=0.3, epsilon=0.2, half_width=1.0, nodes_per_line=3)
-    nodes = line_nodes(plan, 1)
-    assert [z for z, _ in nodes] == [0.5 - 1j, 0.5 + 0j, 0.5 + 1j]
+    seen = []
+
+    def f(Z):
+        seen.append(Z.copy())
+        return (FactorTerm(tuple(np.zeros_like(z) for z in Z)),)
+
+    integrate_tensor(f, plan, 2)
+    y, w = _grid_1d(plan)
+    assert seen[0][1].tolist() == [0.5 - 1j, 0.5 + 0j, 0.5 + 1j]
+    assert seen[0][1].tolist() == (0.5 + 1j * y).tolist()
     h = 1.0
-    assert [w for _, w in nodes] == pytest.approx([h / (4 * math.pi), h / (2 * math.pi), h / (4 * math.pi)])
+    assert w.tolist() == pytest.approx([h / (4 * math.pi), h / (2 * math.pi), h / (4 * math.pi)])
     # total weight = (2T/2pi) for the full trapezoid
-    assert sum(w for _, w in nodes) == pytest.approx(2.0 / (2 * math.pi))
+    assert w.sum() == pytest.approx(2.0 / (2 * math.pi))
 
 
 def test_plan_validation():
