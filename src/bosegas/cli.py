@@ -299,6 +299,26 @@ def _cmd_verify(parser, args) -> int:
 
 
 # --- parser ----------------------------------------------------------------
+# Argument types: a value they refuse is a usage error (exit 2), reported
+# before any computation starts.
+
+
+def _argument(parse, ok, need: str):
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text!r}")
+        return value
+    return convert
+
+
+_finite = _argument(float, math.isfinite, "finite")
+_positive = _argument(float, lambda v: math.isfinite(v) and v > 0, "positive and finite")
+_count = _argument(int, lambda v: v >= 1, "an integer >= 1")
+_nodes = _argument(int, lambda v: v >= 3 and v % 2 == 1, "an odd integer >= 3")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,20 +331,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     m = sub.add_parser("moment", help="evaluate one joint moment")
-    m.add_argument("--t", type=float, required=True, help="time, > 0")
-    m.add_argument("--n", type=int, help="number of points (all at 0 unless --x given)")
-    m.add_argument("--x", type=float, nargs="+", help="evaluation points")
+    m.add_argument("--t", type=_positive, required=True, help="time, > 0")
+    m.add_argument("--n", type=_count, help="number of points (all at 0 unless --x given)")
+    m.add_argument("--x", type=_finite, nargs="+", help="evaluation points")
     m.add_argument("--route", choices=("partition", "nested"), default="partition")
-    m.add_argument("--theta", type=float, help="override contour abscissa (partition route)")
-    m.add_argument("--epsilon", type=float, help="override line offset (partition route)")
-    m.add_argument("--nodes", type=int, help="override nodes per line (odd)")
-    m.add_argument("--half-width", type=float, help="override contour truncation")
+    m.add_argument("--theta", type=_finite, help="override contour abscissa (partition route)")
+    m.add_argument("--epsilon", type=_finite, help="override line offset (partition route)")
+    m.add_argument("--nodes", type=_nodes, help="override nodes per line (odd)")
+    m.add_argument("--half-width", type=_positive, help="override contour truncation")
     m.add_argument("--format", choices=("csv", "json"), default="csv")
 
     a = sub.add_parser("asymptotic-table", help="moment vs leading term over times")
-    a.add_argument("--n", type=int, required=True)
-    a.add_argument("--t-list", type=float, nargs="+", required=True)
-    a.add_argument("--x-power", type=float,
+    a.add_argument("--n", type=_count, required=True)
+    a.add_argument("--t-list", type=_positive, nargs="+", required=True)
+    a.add_argument("--x-power", type=_finite,
                    help="spread points as x_i = i * t**p (p < 1); default all at 0")
     a.add_argument("--format", choices=("csv", "json"), default="csv")
 

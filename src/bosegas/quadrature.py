@@ -35,12 +35,15 @@ k's vector and its tables to the open lines and sums w_k out: a plain sum at
 one line, one convolution of the offset vector with the line's vector at two
 (so a two-line term never forms an N x N array), one N^3 matmul at three and
 one (N^2 x N)(N x N) matmul at four.  Summing a line out of a three-line
-message is N^3 elementwise work.  Where a table meets a dense message it
-enters as an (N, N) strided view of its offset vector, one view of the whole
-stack per grid, never as a stored N x N array.  Messages reaching the
-same state are added; a three-line message is pushed on through its steps as
-soon as it is formed, so no array spans four lines and at most two N^3 arrays
-are live.  Nothing visits the grid node by node.
+message is N^3 elementwise work and N^2 dot products.  Where a table meets a
+dense message it enters as an (N, N) strided view of its offset vector, one
+view of the whole stack per grid, never as a stored N x N array.  Messages
+reaching the same state are added; a three-line message is pushed on through
+its steps as soon as it is formed, so no array spans four lines.  Both
+four-line steps run in blocks of rows that fit in cache, and every
+elimination of four lines writes into one N^3 array lent for the term and
+grid, so one N^3 array is live at a time.  Nothing visits the grid node by
+node.
 
 Scaling: each line's vectors are exp(1j Im e) * weight * exp(Re e - s_k) with
 s_k the largest Re e over every exponent that line can carry, so a term's
@@ -60,6 +63,7 @@ Two error diagnostics ride along (estimates, not enclosures):
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -72,13 +76,21 @@ from .scaled import ScaledComplex, rel_diff
 _TWO_PI = 2.0 * math.pi
 MAX_LINES = 4
 # Largest array the recursion allocates, in complex values: N^3 at four
-# lines (two such arrays are live at once), N^2 messages and expanded tables
+# lines (one such array is live at a time), N^2 messages and expanded tables
 # at three.  Plans of two lines are held to the N^2 limit too.
 MAX_ARRAY_VALUES = 1 << 24
 # Longest inner dimension handed to one BLAS matmul.  Past 128, OpenBLAS
 # (0.3.31) splits the inner sum differently at different thread counts, which
 # moves the last bits of a product; shorter blocks are summed in order here.
 _MATMUL_BLOCK = 128
+# Four-line sums run in blocks of rows of about this many complex values, so
+# a block's operands stay in cache.
+_BLOCK_VALUES = 1 << 14
+# The N^3 array four-line eliminations write into, lent per thread by
+# _sum_orders for one term and grid (_sum_out keeps one signature for every
+# step, so the array is not passed): each three-line message is pushed on
+# before the next elimination, so one array serves them all.
+_lent = threading.local()
 
 
 @dataclass(frozen=True)
@@ -282,20 +294,61 @@ def _spread(table, ak, au, ndim):
     return table.reshape(shape)
 
 
-def _matmul(a, b):
-    """a @ b, bit-identical at any BLAS thread count (see _MATMUL_BLOCK).  A
-    longer inner dimension is summed block by block, a few rows of a at a
-    time, so the partial products stay small."""
+def _matmul(a, b, out=None):
+    """a @ b, written into out if given, bit-identical at any BLAS thread
+    count (see _MATMUL_BLOCK).  A longer inner dimension is summed block by
+    block into out, a few rows of a at a time."""
     k = a.shape[1]
+    if out is None:
+        out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
     if k <= _MATMUL_BLOCK:
-        return a @ b
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+        return np.matmul(a, b, out=out)
     for row in range(0, a.shape[0], k):
-        rows = a[row:row + k]
-        acc = rows[:, :_MATMUL_BLOCK] @ b[:_MATMUL_BLOCK]
+        rows, acc = a[row:row + k], out[row:row + k]
+        np.matmul(rows[:, :_MATMUL_BLOCK], b[:_MATMUL_BLOCK], out=acc)
         for start in range(_MATMUL_BLOCK, k, _MATMUL_BLOCK):
             acc += rows[:, start:start + _MATMUL_BLOCK] @ b[start:start + _MATMUL_BLOCK]
-        out[row:row + k] = acc
+    return out
+
+
+def _eliminate_four(v, facs):
+    """out[a, b, c] = sum_d v[d] F0[d, a] F1[d, b] F2[d, c], in blocks of
+    rows a (see _BLOCK_VALUES): each block's left factor is built in one
+    scratch array and its product written into the cube _sum_orders lends."""
+    n = v.size
+    cube = getattr(_lent, "cube", None)
+    if cube is None or cube.shape[0] != n:
+        cube = np.empty((n, n, n), dtype=complex)
+    left = np.multiply(_square(facs[0]).T, v, order="C")  # v[d] F0[d, a] on (a, d)
+    mid = np.ascontiguousarray(_square(facs[1]).T)
+    right = np.ascontiguousarray(_square(facs[2]))
+    rows = max(1, _BLOCK_VALUES // (n * n))
+    scratch = np.empty((rows, n, n), dtype=complex)
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
+        lhs = scratch[:b - a]
+        np.multiply(left[a:b, None, :], mid, out=lhs)
+        _matmul(lhs.reshape(-1, n), right, out=cube[a:b].reshape(-1, n))
+    return cube
+
+
+def _eliminate_three(core, axis, v, facs):
+    """out[p, q] = sum_k core[.., k, ..] v[k] F0[k, p] F1[k, q], k on `axis`,
+    in blocks of rows p: the far table F1 goes in first, with k last, then
+    each (p, q) is one contiguous dot over k with v F0.  np.vecdot sums it
+    in the same order at any BLAS thread count."""
+    n = v.size
+    msg = core.transpose([a for a in range(3) if a != axis] + [axis])
+    near = np.conj(_square(facs[0]).T * v, order="C")  # vecdot conjugates it back
+    far = np.ascontiguousarray(_square(facs[1]).T)
+    out = np.empty((n, n), dtype=complex)
+    rows = max(1, _BLOCK_VALUES // (n * n))
+    scratch = np.empty((rows, n, n), dtype=complex)
+    for p in range(0, n, rows):
+        q = min(p + rows, n)
+        prod = scratch[:q - p]
+        np.multiply(msg[p:q], far, out=prod)
+        np.vecdot(near[p:q, None, :], prod, out=out[p:q])
     return out
 
 
@@ -309,20 +362,14 @@ def _sum_out(core, axis, v, facs):
             return complex(v.sum())
         if len(facs) == 1:  # out[b] = sum_a v[a] g[a - b + N - 1]
             return np.convolve(facs[0][0][::-1], v, "valid")
-        first = _square(facs[0]) * v[:, None]
-        if len(facs) == 2:
-            return _matmul(first.T, _square(facs[1]))
-        n = v.size
-        # out[a, b, c] = sum_d v[d] F0[d, a] F1[d, b] F2[d, c]
-        lhs = np.multiply(first.T[:, None, :], _square(facs[1]).T[None, :, :], order="C")
-        lhs = lhs.reshape(n * n, n)
-        return _matmul(lhs, _square(facs[2])).reshape(n, n, n)
+        if len(facs) == 3:
+            return _eliminate_four(v, facs)
+        return _matmul((_square(facs[0]) * v[:, None]).T, _square(facs[1]))
     if core.ndim == 1:
         return complex(core @ v)
-    others = [a for a in range(core.ndim) if a != axis]
-    prod = core * _spread(_square(facs[0]) * v[:, None], axis, others[0], core.ndim)
-    for f, au in zip(facs[1:], others[1:]):
-        prod *= _spread(_square(f), axis, au, core.ndim)
+    if core.ndim == 3:
+        return _eliminate_three(core, axis, v, facs)
+    prod = core * _spread(_square(facs[0]) * v[:, None], axis, 1 - axis, 2)
     return prod.sum(axis=axis)
 
 
@@ -403,10 +450,16 @@ def _sum_orders(term: Interleavings, vectors, tables):
     views = _toeplitz_table(tables) if len(term.exponents) > 2 else (None,) * len(tables)
     ctx = (term.steps, acc, vectors, (tables, views))
     last = len(term.steps) - 1
-    for state in range(last):
-        msg = acc.pop(state, None)
-        if msg is not None:
-            _push(term.steps[state], msg, ctx)
+    if len(term.exponents) == 4:
+        n = vectors[0].shape[1]
+        _lent.cube = np.empty((n, n, n), dtype=complex)
+    try:
+        for state in range(last):
+            msg = acc.pop(state, None)
+            if msg is not None:
+                _push(term.steps[state], msg, ctx)
+    finally:
+        _lent.cube = None
     return acc.pop(last)[1]
 
 

@@ -253,3 +253,45 @@ def test_usage_error_leaves_the_parser_unchanged(capsys, bad):
         errors.append(capsys.readouterr().err)
         assert run(capsys, good) == want
     assert errors[0] == errors[1] and errors[0].startswith("usage: bosegas")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["moment", "--t", "1.0", "--n", "4", "--nodes", "4"],
+     "argument --nodes: must be an odd integer >= 3, got '4'"),
+    (["moment", "--t", "1.0", "--n", "2", "--nodes", "1"],
+     "argument --nodes: must be an odd integer >= 3, got '1'"),
+    (["moment", "--t", "1.0", "--n", "2", "--route", "nested", "--nodes", "1"],
+     "argument --nodes: must be an odd integer >= 3, got '1'"),
+    (["moment", "--t", "0", "--n", "2"], "argument --t: must be positive and finite, got '0'"),
+    (["moment", "--t", "-1", "--n", "2"], "argument --t: must be positive and finite, got '-1'"),
+    (["moment", "--t", "nan", "--n", "2"],
+     "argument --t: must be positive and finite, got 'nan'"),
+    (["moment", "--t", "inf", "--n", "5"],
+     "argument --t: must be positive and finite, got 'inf'"),
+    (["asymptotic-table", "--n", "2", "--t-list", "5", "0"],
+     "argument --t-list: must be positive and finite, got '0'"),
+    (["asymptotic-table", "--n", "2", "--t-list", "-1"],
+     "argument --t-list: must be positive and finite, got '-1'"),
+    (["asymptotic-table", "--n", "2", "--t-list", "nan"],
+     "argument --t-list: must be positive and finite, got 'nan'"),
+    (["asymptotic-table", "--n", "2", "--t-list", "5", "inf"],
+     "argument --t-list: must be positive and finite, got 'inf'"),
+    (["moment", "--t", "1.0", "--n", "2", "--half-width", "-1"],
+     "argument --half-width: must be positive and finite, got '-1'"),
+    (["moment", "--t", "1.0", "--n", "0"], "argument --n: must be an integer >= 1, got '0'"),
+    (["asymptotic-table", "--n", "0", "--t-list", "5"],
+     "argument --n: must be an integer >= 1, got '0'"),
+    (["moment", "--t", "1.0", "--x", "0.0", "nan"], "argument --x: must be finite, got 'nan'"),
+    (["moment", "--t", "1.0", "--n", "2", "--theta", "inf"],
+     "argument --theta: must be finite, got 'inf'"),
+])
+def test_bad_values_are_usage_errors(capsys, argv, message):
+    # refused by the parser with exit 2 and one message, not a traceback
+    # from deep inside the computation
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: bosegas")
+    assert captured.err.endswith(f"error: {message}\n")

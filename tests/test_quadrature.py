@@ -450,9 +450,11 @@ def test_four_singletons_take_four_four_line_eliminations(monkeypatch):
 
 
 @pytest.mark.parametrize("route", ["partition", "nested"])
-def test_four_line_recursion_keeps_two_cubes_live(route):
-    # a three-line message is pushed on as soon as it is formed: the peak is
-    # two N^3 arrays plus N^2 tables, not one N^3 array per open state
+def test_four_line_recursion_keeps_one_cube_live(route):
+    # a three-line message is pushed on as soon as it is formed, and every
+    # four-line elimination of a term and grid writes into one lent N^3
+    # array in cache-sized blocks: the peak is that array plus blocks and
+    # N^2 tables, not one N^3 array per open state
     n, x = 61, ORACLE_X
     p = Partition((1, 1, 1, 1))
     if route == "partition":
@@ -469,7 +471,74 @@ def test_four_line_recursion_keeps_two_cubes_live(route):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.0 * n**3 * 16
+    assert peak < 1.5 * n**3 * 16
+
+
+def _factor(n, rng, flip):
+    """A random table factor (g, view) as _advance hands it on: oriented as
+    given, or flipped by reversing g and transposing its view."""
+    g = rng.standard_normal(2 * n - 1) + 1j * rng.standard_normal(2 * n - 1)
+    view = quadrature._toeplitz_table(g)
+    return (g[::-1], view.T) if flip else (g, view)
+
+
+# 41 nodes: blocks of 9 rows, the last one ragged (5 rows)
+STREAM_N = 41
+
+
+@pytest.mark.parametrize("flips", [(False, False, False), (True, False, True),
+                                   (False, True, False)])
+def test_four_line_elimination_matches_dense_formula(flips):
+    n = STREAM_N
+    rng = np.random.default_rng(41)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    facs = [_factor(n, rng, flip) for flip in flips]
+    dense = [np.array(quadrature._square(f)) for f in facs]
+    want = np.einsum("d,da,db,dc->abc", v, *dense)
+    got = quadrature._sum_out(None, None, v, facs)
+    assert got.shape == (n, n, n)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("flips", [(False, False), (True, False), (False, True)])
+def test_three_line_sum_out_matches_dense_formula(axis, flips):
+    n = STREAM_N
+    rng = np.random.default_rng(axis)
+    core = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    facs = [_factor(n, rng, flip) for flip in flips]
+    near, far = (np.array(quadrature._square(f)) for f in facs)
+    spec = {0: "kpq", 1: "pkq", 2: "pqk"}[axis]
+    want = np.einsum(f"{spec},k,kp,kq->pq", core, v, near, far)
+    got = quadrature._sum_out(core, axis, v, facs)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_four_line_eliminations_share_one_lent_cube(monkeypatch):
+    # within one term and grid every four-line elimination writes into the
+    # same array; outside _sum_orders each call gets its own
+    cubes = []
+    inner = quadrature._sum_out
+
+    def spy(core, axis, v, facs):
+        out = inner(core, axis, v, facs)
+        if core is None and len(facs) == 3:
+            cubes.append(out)
+        return out
+
+    monkeypatch.setattr(quadrature, "_sum_out", spy)
+    p = Partition((1, 1, 1, 1))
+    plan = auto_cluster_plan(ORACLE_T, p, ORACLE_X, nodes=11)
+    integrate_tensor(cluster_integrand_batch(ORACLE_T, ORACLE_X, p), plan, 4)
+    full, coarse = cubes[:4], cubes[4:]
+    assert len(coarse) == 4
+    assert all(c is full[0] for c in full) and all(c is coarse[0] for c in coarse)
+    assert quadrature._lent.cube is None
+    rng = np.random.default_rng(1)
+    v = np.ones(5, dtype=complex)
+    facs = [_factor(5, rng, False) for _ in range(3)]
+    assert not np.shares_memory(inner(None, None, v, facs), inner(None, None, v, facs))
 
 
 def test_two_line_term_never_forms_a_square_table():
@@ -517,11 +586,17 @@ def test_grid_size_guard_before_work():
 
 _THREAD_PROBE = """
 from bosegas.cli import main
-from bosegas.moments import MomentRequest, moment_nested_contours, moment_partition_sum
+from bosegas.moments import (MomentRequest, cluster_breakdown, combine_results,
+                             moment_nested_contours, moment_partition_sum)
+def show(r):
+    print(repr(r.value.mantissa), repr(r.value.log_scale), repr(r.step_estimate))
 for req in (MomentRequest(0.8, (-0.4, 0.1, 0.7)), MomentRequest(1.0, (0.0,) * 4)):
     for route in (moment_partition_sum, moment_nested_contours):
-        r = route(req)
-        print(repr(r.value.mantissa), repr(r.value.log_scale), repr(r.step_estimate))
+        show(route(req))
+# the bench's n = 4 plans, whose three-line sum-outs end in a ragged block
+req = MomentRequest(1.0, (0.0,) * 4)
+show(combine_results(r for _, r in cluster_breakdown(req, nodes=35)))
+show(moment_nested_contours(req, nodes=53, half_width=6.5))
 main(["asymptotic-table", "--n", "2", "--t-list", "5"])
 """
 
@@ -537,5 +612,5 @@ def test_blas_thread_count_invariance():
         proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
                               capture_output=True, text=True, timeout=300, check=True)
         outs.append(proc.stdout)
-    assert len(outs[0].splitlines()) == 6
+    assert len(outs[0].splitlines()) == 8
     assert outs[0] == outs[1]  # bit-identical, not approximately equal
