@@ -45,7 +45,6 @@ from .moments import (
 from .partitions import Partition, cluster_expand, enumerate_partitions, multiplicity_constant
 from .quadrature import (
     ContourPlan,
-    FactorTerm,
     Interleavings,
     Placement,
     QuadratureResult,
@@ -75,7 +74,6 @@ from .spectral import (
 __all__ = [
     "BosegasError",
     "ContourPlan",
-    "FactorTerm",
     "GapReport",
     "GridSpec",
     "Interleavings",

@@ -171,7 +171,7 @@ def _refuse_poles(den, keys, min_separation):
         )
 
 
-def _clustered_terms(t, x_sorted, parts, W, short_circuit=True, min_separation=DEFAULT_MIN_SEPARATION):
+def _clustered_terms(t, x_sorted, parts, W, short_circuit=True):
     """Batch kernel on a cluster layout: W is (l, m) base points.
 
     Returns (mantissa[m], log_scale[m]).  The renormalization scale is the
@@ -189,7 +189,7 @@ def _clustered_terms(t, x_sorted, parts, W, short_circuit=True, min_separation=D
 
     # cross-cluster pair ratios, one array per distinct (cluster_u, cluster_v, d)
     den = np.array([(W[cu] - W[cv]) + d for cu, cv, d in keys]).reshape(len(keys), W.shape[1])
-    _refuse_poles(den, keys, min_separation)
+    _refuse_poles(den, keys, DEFAULT_MIN_SEPARATION)
     ratios = dict(zip(keys, (den - 1.0) / den))
 
     Z = np.empty((n, W.shape[1]), dtype=complex)
@@ -219,8 +219,7 @@ def _clustered_terms(t, x_sorted, parts, W, short_circuit=True, min_separation=D
     return mant, quad.real + scale
 
 
-def clustered_kernel(t, x, partition: Partition, w, *, short_circuit=True,
-                     min_separation=DEFAULT_MIN_SEPARATION) -> ScaledComplex:
+def clustered_kernel(t, x, partition: Partition, w, *, short_circuit=True) -> ScaledComplex:
     """Kernel on the cluster layout of `partition` over base points w."""
     if partition.n > MAX_DIRECT_SIZE:
         raise UnsupportedDimensionError(
@@ -230,14 +229,11 @@ def clustered_kernel(t, x, partition: Partition, w, *, short_circuit=True,
     if x_sorted.size != partition.n:
         raise ValueError(f"got {x_sorted.size} points for partition of {partition.n}")
     W = np.asarray(w, dtype=complex).reshape(partition.length, 1)
-    mant, logs = _clustered_terms(
-        t, x_sorted, partition.parts, W, short_circuit=short_circuit,
-        min_separation=min_separation,
-    )
+    mant, logs = _clustered_terms(t, x_sorted, partition.parts, W, short_circuit=short_circuit)
     return ScaledComplex(complex(mant[0]), float(logs[0])).normalize()
 
 
-def permutation_kernel(t, x, z, *, min_separation=DEFAULT_MIN_SEPARATION) -> ScaledComplex:
+def permutation_kernel(t, x, z) -> ScaledComplex:
     """Full n! kernel at generic coordinates z (no cluster structure assumed)."""
     z = np.asarray(z, dtype=complex).reshape(-1)
     n = z.size
@@ -251,10 +247,10 @@ def permutation_kernel(t, x, z, *, min_separation=DEFAULT_MIN_SEPARATION) -> Sca
     off_diag = ~np.eye(n, dtype=bool)
     if n > 1:
         closest = float(np.min(np.abs(diff[off_diag])))
-        if closest < min_separation:
+        if closest < DEFAULT_MIN_SEPARATION:
             raise NearSingularityError(
                 f"coordinates {closest:.3e} apart, below the safety floor "
-                f"{min_separation:.1e}; the summed kernel is finite there but "
+                f"{DEFAULT_MIN_SEPARATION:.1e}; the summed kernel is finite there but "
                 f"individual terms are not evaluable"
             )
     ratio = np.ones_like(diff)
@@ -451,7 +447,7 @@ def _frozen(values, dtype):
 
 
 def cluster_integrand_batch(t, x, partition: Partition):
-    """Factored integrand f(Z) -> (Interleavings,) for integrate_tensor, Z of
+    """Factored integrand f(Z) -> Interleavings for integrate_tensor, Z of
     shape (l, N) holding each line's base points: the sum over the surviving
     permutations as a recursion over placements (see _placements).
 
@@ -502,6 +498,6 @@ def cluster_integrand_batch(t, x, partition: Partition):
             den = diffs * den_sign + den_shift
             _refuse_poles(den[graph.pole_mask], graph.pole_keys, DEFAULT_MIN_SEPARATION)
             tables = (diffs * num_sign + num_shift).prod(axis=1) / den.prod(axis=1)
-        return (Interleavings(graph.steps, exponents, tables, coef),)
+        return Interleavings(graph.steps, exponents, tables, coef)
 
     return f

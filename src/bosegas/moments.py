@@ -32,7 +32,7 @@ from .partitions import Partition, enumerate_partitions
 from .quadrature import (
     MAX_LINES,
     ContourPlan,
-    FactorTerm,
+    Interleavings,
     QuadratureResult,
     _node_differences,
     check_grid_size,
@@ -81,19 +81,24 @@ def default_epsilon(n: int) -> float:
     return min(1.0 / (2.0 * (n - 1)), 0.1)
 
 
-def _odd_at_least(value: float, floor: int = _MIN_NODES) -> int:
-    n = max(int(math.ceil(value)), floor)
-    return n if n % 2 == 1 else n + 1
-
-
-def _node_spacing(step_tol: float, pole_distance: float, max_rate: float) -> float:
-    """Largest trapezoid spacing meeting step_tol for both error mechanisms."""
-    log_tol = math.log(1.0 / step_tol)
-    h_gauss = math.pi / math.sqrt(max_rate * log_tol)
-    if pole_distance == math.inf:
-        return h_gauss
-    h_pole = 2.0 * math.pi * pole_distance / log_tol
-    return min(h_gauss, h_pole)
+def _grid_size(lines: int, rates, pole_distance: float, nodes=None, half_width=None):
+    """(half_width, nodes) for a plan of `lines` lines with Gaussian decay
+    rates `rates`, keeping either one given.  T puts the slowest line's tail
+    below TAIL_TOL, TAIL_SAFETY nats to spare.  The spacing is the largest
+    meeting the step tolerance of that many lines (of MAX_LINES, beyond it)
+    for both error mechanisms, the fastest decay and the nearest pole; N is
+    the odd node count, at least _MIN_NODES, that covers [-T, T] at that
+    spacing."""
+    if half_width is None:
+        half_width = math.sqrt((math.log(1.0 / TAIL_TOL) + TAIL_SAFETY) / min(rates))
+    if nodes is None:
+        log_tol = math.log(1.0 / _STEP_TOL[min(lines, MAX_LINES)])
+        h = math.pi / math.sqrt(max(rates) * log_tol)
+        if pole_distance != math.inf:
+            h = min(h, 2.0 * math.pi * pole_distance / log_tol)
+        nodes = max(math.ceil(2.0 * half_width / h + 1.0), _MIN_NODES)
+        nodes += 1 - nodes % 2
+    return half_width, nodes
 
 
 def cluster_pole_distance(p: Partition, eps: float) -> float:
@@ -123,12 +128,8 @@ def auto_cluster_plan(t: float, p: Partition, x, nodes: int | None = None,
     if theta is None:
         theta = float(optimal_theta(p)) - sum(pts.coords) / (n * t)
     rates = [lam * t / 2.0 for lam in p.parts]
-    if half_width is None:
-        half_width = math.sqrt((math.log(1.0 / TAIL_TOL) + TAIL_SAFETY) / min(rates))
-    if nodes is None:
-        tol = _STEP_TOL[min(p.length, 4)]
-        h = _node_spacing(tol, cluster_pole_distance(p, eps), max(rates))
-        nodes = _odd_at_least(2.0 * half_width / h + 1.0)
+    half_width, nodes = _grid_size(p.length, rates, cluster_pole_distance(p, eps),
+                                   nodes, half_width)
     return ContourPlan(theta=float(theta), epsilon=eps, half_width=float(half_width),
                        nodes_per_line=int(nodes))
 
@@ -277,7 +278,7 @@ def default_abscissas(n: int, t: float, x):
     return tuple(r + shift for r in raw)
 
 
-def _nested_integrand(t, x_sorted, min_separation):
+def _nested_integrand(t, x_sorted):
     """Factored nested integrand: line k carries exp(t/2 w^2 + x_(k) w), each
     pair i < j the table (w_i - w_j)/(w_i - w_j - 1).
 
@@ -298,12 +299,12 @@ def _nested_integrand(t, x_sorted, min_separation):
         # poles sit at pair gaps of exactly 1; the plan keeps them at
         # vertical distance |gap - 1| but vet every node offset anyway
         closest = float(np.min(np.abs(den))) if pairs else math.inf
-        if closest < min_separation:
+        if closest < DEFAULT_MIN_SEPARATION:
             raise NearSingularityError(
                 f"nested contours came within {closest:.3e} of a pole "
-                f"(floor {min_separation:.1e})"
+                f"(floor {DEFAULT_MIN_SEPARATION:.1e})"
             )
-        return (FactorTerm(exps, pairs, d / den),)
+        return Interleavings.product(exps, pairs, d / den)
 
     return f
 
@@ -313,17 +314,9 @@ def auto_nested_plan(t: float, abscissas, nodes: int | None = None,
     """Grid sized from the pole distance min |gap - 1| and decay rate t/2."""
     a = tuple(float(v) for v in abscissas)
     n = len(a)
-    rate = t / 2.0
-    if half_width is None:
-        half_width = math.sqrt((math.log(1.0 / TAIL_TOL) + TAIL_SAFETY) / rate)
-    if nodes is None:
-        dist = math.inf
-        for i in range(n):
-            for j in range(i + 1, n):
-                dist = min(dist, abs((a[i] - a[j]) - 1.0))
-        tol = _STEP_TOL[min(n, 4)]
-        h = _node_spacing(tol, dist, rate)
-        nodes = _odd_at_least(2.0 * half_width / h + 1.0)
+    dist = min((abs((a[i] - a[j]) - 1.0) for i in range(n) for j in range(i + 1, n)),
+               default=math.inf)
+    half_width, nodes = _grid_size(n, (t / 2.0,), dist, nodes, half_width)
     return ContourPlan(theta=a[0], epsilon=(a[1] - a[0]) if n > 1 else 0.0,
                        half_width=half_width, nodes_per_line=int(nodes))
 
@@ -349,7 +342,7 @@ def moment_nested_contours(req: MomentRequest, abscissas=None, **overrides) -> Q
             )
     plan = req.plan or auto_nested_plan(req.t, a, **overrides)
     x_sorted = np.asarray(req.x.ordered)
-    f = _nested_integrand(req.t, x_sorted, DEFAULT_MIN_SEPARATION)
+    f = _nested_integrand(req.t, x_sorted)
     rates = (req.t / 2.0,) * n
     return integrate_tensor(f, plan, n, decay_rates=rates, abscissas=a)
 

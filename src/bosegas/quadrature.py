@@ -5,11 +5,11 @@ Each contour is a vertical line Re w = const truncated to imaginary part
 Gaussian-decaying integrands this package produces.
 
 Integrands are factored.  f(Z), with Z of shape (lines, N) holding each
-line's nodes, returns a sequence of terms, each a sum over placement orders
-(Interleavings): coef times, summed over the paths of a small state graph,
-the product of the line-pair tables every step of the path multiplies in and,
-on each line, exp(e) for the exponent row its closing step names.  A single
-product (FactorTerm) is the one-order case: its lines close last to first.
+line's nodes, returns one term, a sum over placement orders (Interleavings):
+coef times, summed over the paths of a small state graph, the product of the
+line-pair tables every step of the path multiplies in and, on each line,
+exp(e) for the exponent row its closing step names.  A single product
+(Interleavings.product) is the one-order case: its lines close last to first.
 
 Grid invariant: _trapezoid_sums calls f with Z[k] = re_k + 1j*y, one shared
 uniform y for every line.  So w_i - w_j at nodes a, b depends on the offset
@@ -41,15 +41,14 @@ view of the whole stack per grid, never as a stored N x N array.  Messages
 reaching the same state are added; a three-line message is pushed on through
 its steps as soon as it is formed, so no array spans four lines.  Both
 four-line steps run in blocks of rows that fit in cache, and every
-elimination of four lines writes into one N^3 array lent for the term and
-grid, so one N^3 array is live at a time.  Nothing visits the grid node by
-node.
+elimination of four lines writes into one N^3 array that _sum_orders
+allocates for the term and grid and passes down, so one N^3 array is live at
+a time.  Nothing visits the grid node by node.
 
 Scaling: each line's vectors are exp(1j Im e) * weight * exp(Re e - s_k) with
 s_k the largest Re e over every exponent that line can carry, so a term's
-value is its recursion sum times exp(sum_k s_k), one scalar log-scale per
-term.  Terms are then added in ScaledComplex arithmetic, in the order f
-returns them.
+value is its recursion sum times exp(sum_k s_k), one scalar log-scale,
+returned as a ScaledComplex.
 
 Two error diagnostics ride along (estimates, not enclosures):
   * tail_bound   - relative Gaussian tail mass erfc(sqrt(a_k) T) summed over
@@ -63,7 +62,6 @@ Two error diagnostics ride along (estimates, not enclosures):
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -76,8 +74,9 @@ from .scaled import ScaledComplex, rel_diff
 _TWO_PI = 2.0 * math.pi
 MAX_LINES = 4
 # Largest array the recursion allocates, in complex values: N^3 at four
-# lines (one such array is live at a time), N^2 messages and expanded tables
-# at three.  Plans of two lines are held to the N^2 limit too.
+# lines (the one array every four-line elimination of a term and grid is
+# passed), N^2 messages and expanded tables at three.  Plans of two lines are
+# held to the N^2 limit too.
 MAX_ARRAY_VALUES = 1 << 24
 # Longest inner dimension handed to one BLAS matmul.  Past 128, OpenBLAS
 # (0.3.31) splits the inner sum differently at different thread counts, which
@@ -86,11 +85,6 @@ _MATMUL_BLOCK = 128
 # Four-line sums run in blocks of rows of about this many complex values, so
 # a block's operands stay in cache.
 _BLOCK_VALUES = 1 << 14
-# The N^3 array four-line eliminations write into, lent per thread by
-# _sum_orders for one term and grid (_sum_out keeps one signature for every
-# step, so the array is not passed): each three-line message is pushed on
-# before the next elimination, so one array serves them all.
-_lent = threading.local()
 
 
 @dataclass(frozen=True)
@@ -127,22 +121,6 @@ class QuadratureResult:
     step_estimate: float
 
 
-@dataclass(frozen=True)
-class FactorTerm:
-    """coef * prod_k exp(exponents[k][a_k]) * prod_r T_r[a_i, a_j], (i, j) = pairs[r].
-
-    exponents holds one length-N complex array per line.  pairs lists line
-    pairs (i, j), i < j, and tables[r] is pair r's offset vector of length
-    2N-1: T_r[a, b] = tables[r][a - b + N - 1] (see the grid invariant).  A
-    pair not listed contributes 1.
-    """
-
-    exponents: tuple
-    pairs: tuple = ()
-    tables: np.ndarray | None = None
-    coef: complex = 1.0
-
-
 class Placement(NamedTuple):
     """One step of a placement order, into state dst.
 
@@ -176,22 +154,27 @@ class Interleavings:
     tables: np.ndarray
     coef: complex = 1.0
 
+    @classmethod
+    def product(cls, exponents, pairs=(), tables=None, coef=1.0) -> Interleavings:
+        """coef * prod_k exp(exponents[k][a_k]) * prod_r T_r[a_i, a_j], (i, j) = pairs[r],
+        as a one-path sum: lines close last to first, each taking its tables
+        to the lines still open.
 
-def _one_order(term: FactorTerm) -> Interleavings:
-    """A single product as a one-path sum: lines close last to first, each
-    taking its tables to the lines still open."""
-    exponents = tuple(np.asarray(e)[None, :] for e in term.exponents)
-    lines = len(exponents)
-    rows = {pair: r for r, pair in enumerate(term.pairs)}
-    steps = tuple(
-        (Placement(dst=i + 1, line=k, closes=0,
-                   tables=tuple((u, rows[u, k]) for u in range(k) if (u, k) in rows)),)
-        for i, k in enumerate(range(lines - 1, -1, -1))
-    ) + ((),)
-    tables = term.tables
-    if not rows:
-        tables = np.empty((0, 2 * exponents[0].shape[1] - 1), dtype=complex)
-    return Interleavings(steps, exponents, tables, term.coef)
+        exponents holds one length-N complex array per line.  pairs lists line
+        pairs (i, j), i < j, and tables[r] is pair r's offset vector of length
+        2N-1: T_r[a, b] = tables[r][a - b + N - 1] (see the grid invariant).  A
+        pair not listed contributes 1.
+        """
+        exponents = tuple(np.asarray(e)[None, :] for e in exponents)
+        rows = {pair: r for r, pair in enumerate(pairs)}
+        steps = tuple(
+            (Placement(dst=i + 1, line=k, closes=0,
+                       tables=tuple((u, rows[u, k]) for u in range(k) if (u, k) in rows)),)
+            for i, k in enumerate(range(len(exponents) - 1, -1, -1))
+        ) + ((),)
+        if not rows:
+            tables = np.empty((0, 2 * exponents[0].shape[1] - 1), dtype=complex)
+        return cls(steps, exponents, tables, coef)
 
 
 def _grid_1d(plan: ContourPlan):
@@ -311,14 +294,11 @@ def _matmul(a, b, out=None):
     return out
 
 
-def _eliminate_four(v, facs):
-    """out[a, b, c] = sum_d v[d] F0[d, a] F1[d, b] F2[d, c], in blocks of
+def _eliminate_four(v, facs, cube):
+    """cube[a, b, c] = sum_d v[d] F0[d, a] F1[d, b] F2[d, c], in blocks of
     rows a (see _BLOCK_VALUES): each block's left factor is built in one
-    scratch array and its product written into the cube _sum_orders lends."""
+    scratch array and its product written into the (N, N, N) array cube."""
     n = v.size
-    cube = getattr(_lent, "cube", None)
-    if cube is None or cube.shape[0] != n:
-        cube = np.empty((n, n, n), dtype=complex)
     left = np.multiply(_square(facs[0]).T, v, order="C")  # v[d] F0[d, a] on (a, d)
     mid = np.ascontiguousarray(_square(facs[1]).T)
     right = np.ascontiguousarray(_square(facs[2]))
@@ -352,18 +332,21 @@ def _eliminate_three(core, axis, v, facs):
     return out
 
 
-def _sum_out(core, axis, v, facs):
+def _sum_out(core, axis, v, facs, cube=None):
     """Sum line k out of a message.  core spans the open lines with k on
     `axis` (None: no line summed out yet); v is line k's vector and facs its
     tables to the other open lines, in line order, each a factor oriented
-    (node on k, node on u).  Returns the message over the other open lines."""
+    (node on k, node on u).  Returns the message over the other open lines;
+    one over three lines is written into cube, or a fresh array if None."""
     if core is None:
         if not facs:
             return complex(v.sum())
         if len(facs) == 1:  # out[b] = sum_a v[a] g[a - b + N - 1]
             return np.convolve(facs[0][0][::-1], v, "valid")
         if len(facs) == 3:
-            return _eliminate_four(v, facs)
+            if cube is None:
+                cube = np.empty((v.size,) * 3, dtype=complex)
+            return _eliminate_four(v, facs, cube)
         return _matmul((_square(facs[0]) * v[:, None]).T, _square(facs[1]))
     if core.ndim == 1:
         return complex(core @ v)
@@ -383,7 +366,7 @@ def _sum_out(core, axis, v, facs):
 # then) only where it meets a dense message.
 
 
-def _advance(msg, step, vectors, tables):
+def _advance(msg, step, vectors, tables, cube):
     open_, core, pending = msg
     k = step.line
     if step.tables:
@@ -408,7 +391,7 @@ def _advance(msg, step, vectors, tables):
             fac = (np.ones(2 * v.size - 1), None)
         g, view = fac
         facs.append(fac if k < u else (g[::-1], None if view is None else view.T))
-    core = _sum_out(core, axis, v, facs)
+    core = _sum_out(core, axis, v, facs, cube)
     if pending:
         pending = {pair: fac for pair, fac in pending.items() if k not in pair}
     return rest, core, pending
@@ -432,9 +415,9 @@ def _push(steps, msg, ctx):
     """Send a message along the given steps.  A message over three open
     lines is pushed on at once, never stored; any other is added into its
     state's sum.  Each new message dies before the next step's arrays exist."""
-    all_steps, acc, vectors, tables = ctx
+    all_steps, acc, vectors, tables, cube = ctx
     for step in steps:
-        nxt = _advance(msg, step, vectors, tables)
+        nxt = _advance(msg, step, vectors, tables, cube)
         if len(nxt[0]) == 3 and nxt[1] is not None:
             _push(all_steps[step.dst], nxt, ctx)
         else:
@@ -448,18 +431,17 @@ def _sum_orders(term: Interleavings, vectors, tables):
     # every table's (N, N) view, made once per grid; at one or two lines no
     # table meets a dense message, so none is needed
     views = _toeplitz_table(tables) if len(term.exponents) > 2 else (None,) * len(tables)
-    ctx = (term.steps, acc, vectors, (tables, views))
-    last = len(term.steps) - 1
+    # every four-line elimination writes into this one array: each
+    # three-line message is pushed on before the next elimination
+    cube = None
     if len(term.exponents) == 4:
-        n = vectors[0].shape[1]
-        _lent.cube = np.empty((n, n, n), dtype=complex)
-    try:
-        for state in range(last):
-            msg = acc.pop(state, None)
-            if msg is not None:
-                _push(term.steps[state], msg, ctx)
-    finally:
-        _lent.cube = None
+        cube = np.empty((vectors[0].shape[1],) * 3, dtype=complex)
+    ctx = (term.steps, acc, vectors, (tables, views), cube)
+    last = len(term.steps) - 1
+    for state in range(last):
+        msg = acc.pop(state, None)
+        if msg is not None:
+            _push(term.steps[state], msg, ctx)
     return acc.pop(last)[1]
 
 
@@ -468,37 +450,32 @@ def _trapezoid_sums(f, plan: ContourPlan, num_lines: int, re_parts):
     y, w = _grid_1d(plan)
     Z = re_parts[:, None] + 1j * y[None, :]
     offsets = 2 * plan.nodes_per_line - 1
-    value, coarse = ScaledComplex.zero(), ScaledComplex.zero()
-    for term in f(Z):
-        if isinstance(term, FactorTerm):
-            term = _one_order(term)
-        if len(term.exponents) != num_lines:
-            raise ValueError(f"integrand term has {len(term.exponents)} lines, need {num_lines}")
-        if term.tables.ndim != 2 or term.tables.shape[1] != offsets:
-            raise ValueError(f"integrand tables must be offset vectors stacked ({offsets} "
-                             f"columns), got shape {term.tables.shape}")
-        vectors, log = _line_vectors(term.exponents, w, Z)
-        _vet_tables(term, Z)
-        full = _sum_orders(term, vectors, term.tables)
-        # every other node: spacing 2h, so weights double on each line
-        half = _sum_orders(term, [2.0 * v[:, ::2] for v in vectors], term.tables[:, ::2])
-        for s_val in (full, half):
-            if not (math.isfinite(s_val.real) and math.isfinite(s_val.imag)):
-                raise NumericsError(f"contracted integrand term not finite: {s_val}")
-        value = value + ScaledComplex(term.coef * full, log)
-        coarse = coarse + ScaledComplex(term.coef * half, log)
-    return value, coarse
+    term = f(Z)
+    if len(term.exponents) != num_lines:
+        raise ValueError(f"integrand term has {len(term.exponents)} lines, need {num_lines}")
+    if term.tables.ndim != 2 or term.tables.shape[1] != offsets:
+        raise ValueError(f"integrand tables must be offset vectors stacked ({offsets} "
+                         f"columns), got shape {term.tables.shape}")
+    vectors, log = _line_vectors(term.exponents, w, Z)
+    _vet_tables(term, Z)
+    full = _sum_orders(term, vectors, term.tables)
+    # every other node: spacing 2h, so weights double on each line
+    half = _sum_orders(term, [2.0 * v[:, ::2] for v in vectors], term.tables[:, ::2])
+    for s_val in (full, half):
+        if not (math.isfinite(s_val.real) and math.isfinite(s_val.imag)):
+            raise NumericsError(f"contracted integrand term not finite: {s_val}")
+    return (ScaledComplex(term.coef * full, log).normalize(),
+            ScaledComplex(term.coef * half, log).normalize())
 
 
 def integrate_tensor(f, plan: ContourPlan, num_lines: int, decay_rates=None, abscissas=None):
     """Tensor-product trapezoid integral of a factored integrand.
 
-    f(Z) -> sequence of FactorTerm or Interleavings, with Z of shape
-    (num_lines, N) holding each line's nodes, all lines on the same
-    imaginary parts (the grid invariant above), and each term's tables
-    given as offset vectors of length 2N-1.  Line k sits at
-    Re w = theta + k*epsilon unless explicit `abscissas` override the real
-    parts.  decay_rates (per-line Gaussian coefficients a_k with
+    f(Z) -> one Interleavings, with Z of shape (num_lines, N) holding each
+    line's nodes, all lines on the same imaginary parts (the grid invariant
+    above), and the term's tables given as offset vectors of length 2N-1.
+    Line k sits at Re w = theta + k*epsilon unless explicit `abscissas`
+    override the real parts.  decay_rates (per-line Gaussian coefficients a_k with
     |integrand| ~ exp(-a_k y_k^2)) feed the tail bound.
     """
     if num_lines < 1:

@@ -15,9 +15,11 @@ stream keyed by SeedSequence((s, r)), step-major, so any subset of replicas
 can be reproduced in isolation.  Each replica's noise is drawn a chunk of
 steps at a time, and successive draws continue its stream.  Replicas are
 advanced in batches, and the batches run on one worker thread per usable
-core (numpy releases the GIL in the draws and the step ufuncs).  The update
-is elementwise per replica and keeps one operation order, so no sample
-depends on the chunk length, the batch size or the number of workers.
+core (numpy releases the GIL in the draws and the step ufuncs): of W
+workers, worker w takes batches w, w + W, w + 2W, ..., the calling thread
+being worker 0.  The update is elementwise per replica and keeps one
+operation order, so no sample depends on the chunk length, the batch size or
+the number of workers.
 """
 
 from __future__ import annotations
@@ -162,8 +164,10 @@ class _Stepper:
 
 def _run_on_cores(items: int, new_state, run) -> None:
     """Call run(state, i) once for each i in range(items), spread over one thread
-    per usable core (at most `items`, this thread included); each thread makes
-    its own state with new_state()."""
+    per usable core (at most `items`, this thread included): of W workers,
+    worker w takes i = w, w + W, w + 2W, ..., and this thread is worker 0.
+    Each worker makes its own state with new_state().  The first error a
+    worker raises is raised here once every worker has finished."""
     # imported on use: bound at module level, these names made unrelated
     # benchmark ops (asymptotics) ~10% slower in repeated A/B runs
     import os
@@ -173,33 +177,23 @@ def _run_on_cores(items: int, new_state, run) -> None:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
         cores = os.cpu_count() or 1
-    numbers = iter(range(items))
-    lock = threading.Lock()
+    workers = min(cores, items)
     errors = []
 
-    def work():
-        state = new_state()
-        while True:
-            with lock:
-                i = next(numbers, None)
-            if i is None:
-                return
-            run(state, i)
-
-    def guarded():
+    def work(w):
         try:
-            work()
+            state = new_state()
+            for i in range(w, items, workers):
+                run(state, i)
         except BaseException as exc:  # re-raised on the calling thread below
             errors.append(exc)
 
-    threads = [threading.Thread(target=guarded) for _ in range(min(cores, items) - 1)]
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
     for t in threads:
         t.start()
-    try:
-        work()
-    finally:
-        for t in threads:
-            t.join()
+    work(0)
+    for t in threads:
+        t.join()
     if errors:
         raise errors[0]
 

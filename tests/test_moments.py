@@ -241,6 +241,14 @@ def test_auto_nested_plan_uses_pole_gap():
     assert wide.nodes_per_line % 2 == 1
 
 
+def test_five_line_plans_take_the_four_line_tolerance():
+    # the routes stop at four lines, but the planners size five-line grids
+    # too, at the four-line step tolerance: the N that sizes n = 5 work
+    a = default_abscissas(5, 1.0, (0.0,) * 5)
+    assert auto_nested_plan(1.0, a).nodes_per_line == 95
+    assert auto_cluster_plan(1.0, Partition((1,) * 5), (0.0,) * 5).nodes_per_line == 79
+
+
 # --- guard rails -----------------------------------------------------------
 
 

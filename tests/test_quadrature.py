@@ -17,12 +17,7 @@ import pytest
 import bosegas
 from bosegas.errors import NearSingularityError, NumericsError
 import bosegas.quadrature as quadrature
-from bosegas.kernel import (
-    DEFAULT_MIN_SEPARATION,
-    _clustered_terms,
-    _placements,
-    cluster_integrand_batch,
-)
+from bosegas.kernel import _clustered_terms, _placements, cluster_integrand_batch
 from bosegas.moments import (
     MomentRequest,
     _nested_integrand,
@@ -34,7 +29,7 @@ from bosegas.moments import (
 from bosegas.partitions import Partition, enumerate_partitions
 from bosegas.quadrature import (
     ContourPlan,
-    FactorTerm,
+    Interleavings,
     _grid_1d,
     _trapezoid_sums,
     check_grid_size,
@@ -46,7 +41,7 @@ def gaussian_integrand(rate=0.5):
     """prod_k exp(rate * w_k^2) on vertical lines: decays like exp(-rate y^2)."""
 
     def f(Z):
-        return (FactorTerm(tuple(rate * z * z for z in Z)),)
+        return Interleavings.product(tuple(rate * z * z for z in Z))
 
     return f
 
@@ -55,7 +50,7 @@ def drift_integrand(t, x):
     """exp(t/2 w^2 + x w): single-line heat-kernel generator."""
 
     def f(Z):
-        return (FactorTerm((0.5 * t * Z[0] ** 2 + x * Z[0],)),)
+        return Interleavings.product((0.5 * t * Z[0] ** 2 + x * Z[0],))
 
     return f
 
@@ -66,7 +61,7 @@ def test_line_nodes_weights_frozen():
 
     def f(Z):
         seen.append(Z.copy())
-        return (FactorTerm(tuple(np.zeros_like(z) for z in Z)),)
+        return Interleavings.product(tuple(np.zeros_like(z) for z in Z))
 
     integrate_tensor(f, plan, 2)
     y, w = _grid_1d(plan)
@@ -163,7 +158,7 @@ def test_large_scale_integrand():
     shift = 5000.0
 
     def f(Z):
-        return (FactorTerm((0.5 * Z[0] ** 2 + shift,)),)
+        return Interleavings.product((0.5 * Z[0] ** 2 + shift,))
 
     plan = ContourPlan(theta=0.0, epsilon=0.0, half_width=8.0, nodes_per_line=129)
     res = integrate_tensor(f, plan, 1)
@@ -181,7 +176,7 @@ def test_nonfinite_integrand_reports_node():
     def f(Z):
         e = np.zeros(Z.shape[1], dtype=complex)
         e[3] = complex(math.nan, 0.0)
-        return (FactorTerm((e,)),)
+        return Interleavings.product((e,))
 
     plan = ContourPlan(theta=0.0, epsilon=0.0, half_width=1.0, nodes_per_line=5)
     with pytest.raises(NumericsError, match="grid indices"):
@@ -225,7 +220,7 @@ def test_nonfinite_table_reports_line_pair_and_nodes(lines, pair, offset):
     def f(Z):
         tables = np.ones((len(pairs), 2 * n - 1), dtype=complex)
         tables[pairs.index(pair), offset + n - 1] = complex(math.inf, 0.0)
-        return (FactorTerm(tuple(0.5 * z * z for z in Z), pairs, tables),)
+        return Interleavings.product(tuple(0.5 * z * z for z in Z), pairs, tables)
 
     plan = ContourPlan(theta=0.0, epsilon=0.1, half_width=2.0, nodes_per_line=n)
     with pytest.raises(NumericsError) as err:
@@ -293,7 +288,7 @@ def test_contraction_matches_node_sweep(case, n):
     if case == "nested":
         a = default_abscissas(n, ORACLE_T, x)
         plan = auto_nested_plan(ORACLE_T, a, nodes=11)
-        f = _nested_integrand(ORACLE_T, np.asarray(sorted(x)), DEFAULT_MIN_SEPARATION)
+        f = _nested_integrand(ORACLE_T, np.asarray(sorted(x)))
         values = _nested_values(ORACLE_T, sorted(x))
         re_parts = np.array(a)
     else:
@@ -387,7 +382,7 @@ def test_cluster_tables_match_node_pair_form(p, nodes):
     x = FIVE_POINT_X[:p.n]
     plan = auto_cluster_plan(ORACLE_T, p, x, nodes=nodes)
     Z = _grid(plan, plan.theta + plan.epsilon * np.arange(p.length))
-    (term,) = cluster_integrand_batch(ORACLE_T, x, p)(Z)
+    term = cluster_integrand_batch(ORACLE_T, x, p)(Z)
     _assert_tables_match(dict(enumerate(term.tables)), _direct_cluster_tables(Z, p.parts))
 
 
@@ -397,12 +392,12 @@ def test_nested_tables_match_node_pair_form(n, nodes):
     x = ORACLE_X[:n]
     a = default_abscissas(n, ORACLE_T, x)
     Z = _grid(auto_nested_plan(ORACLE_T, a, nodes=nodes), np.array(a))
-    (term,) = _nested_integrand(ORACLE_T, np.asarray(sorted(x)), DEFAULT_MIN_SEPARATION)(Z)
+    term = _nested_integrand(ORACLE_T, np.asarray(sorted(x)))(Z)
     want = {}
     for i, j in itertools.combinations(range(n), 2):
         d = _pair_differences(Z, i, j)
         want[i, j] = d / (d - 1.0)
-    _assert_tables_match(dict(zip(term.pairs, term.tables)), want)
+    _assert_tables_match(dict(zip(want, term.tables)), want)
 
 
 @pytest.mark.parametrize("nodes", [11, 35])
@@ -436,9 +431,9 @@ def test_four_singletons_take_four_four_line_eliminations(monkeypatch):
     calls = []
     inner = quadrature._sum_out
 
-    def counted(core, axis, v, facs):
+    def counted(core, axis, v, facs, cube=None):
         calls.append((None if core is None else core.ndim, len(facs)))
-        return inner(core, axis, v, facs)
+        return inner(core, axis, v, facs, cube)
 
     monkeypatch.setattr(quadrature, "_sum_out", counted)
     p = Partition((1, 1, 1, 1))
@@ -452,7 +447,7 @@ def test_four_singletons_take_four_four_line_eliminations(monkeypatch):
 @pytest.mark.parametrize("route", ["partition", "nested"])
 def test_four_line_recursion_keeps_one_cube_live(route):
     # a three-line message is pushed on as soon as it is formed, and every
-    # four-line elimination of a term and grid writes into one lent N^3
+    # four-line elimination of a term and grid writes into one N^3
     # array in cache-sized blocks: the peak is that array plus blocks and
     # N^2 tables, not one N^3 array per open state
     n, x = 61, ORACLE_X
@@ -463,7 +458,7 @@ def test_four_line_recursion_keeps_one_cube_live(route):
     else:
         a = default_abscissas(4, ORACLE_T, x)
         plan = auto_nested_plan(ORACLE_T, a, nodes=n)
-        f = _nested_integrand(ORACLE_T, np.asarray(sorted(x)), DEFAULT_MIN_SEPARATION)
+        f = _nested_integrand(ORACLE_T, np.asarray(sorted(x)))
     integrate_tensor(f, plan, 4, abscissas=a)  # caches filled outside the measurement
     tracemalloc.start()
     try:
@@ -517,12 +512,12 @@ def test_three_line_sum_out_matches_dense_formula(axis, flips):
 
 def test_four_line_eliminations_share_one_lent_cube(monkeypatch):
     # within one term and grid every four-line elimination writes into the
-    # same array; outside _sum_orders each call gets its own
+    # same array; a call given no cube gets its own
     cubes = []
     inner = quadrature._sum_out
 
-    def spy(core, axis, v, facs):
-        out = inner(core, axis, v, facs)
+    def spy(core, axis, v, facs, cube=None):
+        out = inner(core, axis, v, facs, cube)
         if core is None and len(facs) == 3:
             cubes.append(out)
         return out
@@ -534,7 +529,6 @@ def test_four_line_eliminations_share_one_lent_cube(monkeypatch):
     full, coarse = cubes[:4], cubes[4:]
     assert len(coarse) == 4
     assert all(c is full[0] for c in full) and all(c is coarse[0] for c in coarse)
-    assert quadrature._lent.cube is None
     rng = np.random.default_rng(1)
     v = np.ones(5, dtype=complex)
     facs = [_factor(5, rng, False) for _ in range(3)]
@@ -561,7 +555,7 @@ def test_two_line_term_never_forms_a_square_table():
 def test_integrand_closures_keep_their_qualnames():
     # bench/tracer.py books integrand time by these qualified names
     f = cluster_integrand_batch(ORACLE_T, ORACLE_X[:2], Partition((1, 1)))
-    g = _nested_integrand(ORACLE_T, np.asarray(ORACLE_X[:2]), DEFAULT_MIN_SEPARATION)
+    g = _nested_integrand(ORACLE_T, np.asarray(ORACLE_X[:2]))
     assert f.__qualname__ == "cluster_integrand_batch.<locals>.f"
     assert g.__qualname__ == "_nested_integrand.<locals>.f"
 

@@ -9,12 +9,14 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bosegas
+import bosegas.she_mc as she_mc
 from bosegas.moments import heat_kernel, two_point_moment
 from bosegas.she_mc import (
     GridSpec,
@@ -151,8 +153,8 @@ def test_cpu_count_invariance():
 
 
 def test_more_workers_than_cores_change_nothing(monkeypatch):
-    # workers share the batch counter, the sample array and the clip counts; a
-    # skipped batch would leave unwritten samples and drop its clips
+    # workers share the sample array and the clip counts; a skipped batch
+    # would leave unwritten samples and drop its clips
     point_sets = [(0.0,), (-0.2, 0.3)]
     runs = []
     interval = sys.getswitchinterval()
@@ -166,6 +168,25 @@ def test_more_workers_than_cores_change_nothing(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("failing", [0, 1, 3])
+def test_failing_batch_raises_in_caller(monkeypatch, failing):
+    # four workers, the calling thread worker 0 and batch b on worker b: an
+    # error in a batch on any of them reaches the caller once all have joined
+    run = she_mc._Stepper.run
+
+    def flaky(self, generators):
+        if generators[0].bit_generator.seed_seq.entropy == (9, failing * she_mc._BATCH):
+            raise FloatingPointError(f"batch {failing}")
+        return run(self, generators)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(she_mc._Stepper, "run", flaky)
+    threads = threading.active_count()
+    with pytest.raises(FloatingPointError, match=f"batch {failing}"):
+        estimate_moments(RAGGED, [(0.0,)], replicas=4 * she_mc._BATCH, seed=9)
+    assert threading.active_count() == threads
 
 # --- statistics against exact values ---------------------------------------
 
