@@ -102,6 +102,9 @@ def _cmd_moment(parser, args) -> int:
     pts = _points_from_args(parser, args)
     if args.route == "nested" and (args.theta is not None or args.epsilon is not None):
         parser.error("--theta/--epsilon apply to the partition route only")
+    if args.epsilon is not None and pts.n > 1 and not 0.0 < args.epsilon < 1.0 / (pts.n - 1):
+        parser.error(f"--epsilon must lie strictly between 0 and 1/(n-1) = "
+                     f"{1.0 / (pts.n - 1):.6g} at n={pts.n}, got {args.epsilon}")
     req = MomentRequest(args.t, pts)
     overrides = dict(nodes=args.nodes, half_width=args.half_width)
     if args.route == "partition":
@@ -318,6 +321,7 @@ def _argument(parse, ok, need: str):
 _finite = _argument(float, math.isfinite, "finite")
 _positive = _argument(float, lambda v: math.isfinite(v) and v > 0, "positive and finite")
 _count = _argument(int, lambda v: v >= 1, "an integer >= 1")
+_seed = _argument(int, lambda v: v >= 0, "an integer >= 0")
 _nodes = _argument(int, lambda v: v >= 3 and v % 2 == 1, "an odd integer >= 3")
 
 
@@ -345,14 +349,16 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--n", type=_count, required=True)
     a.add_argument("--t-list", type=_positive, nargs="+", required=True)
     a.add_argument("--x-power", type=_finite,
-                   help="spread points as x_i = i * t**p (p < 1); default all at 0")
+                   help="spread points as x_i = i * t**p (p < 1); default all at 0.  The "
+                        "leading term omits the centre-of-mass factor exp(-(sum x)^2 / "
+                        "(2 n t)), so the ratio tends to 1 only for p < 1/2")
     a.add_argument("--format", choices=("csv", "json"), default="csv")
 
     v = sub.add_parser("verify", help="run self-check suites")
     v.add_argument("--suite", choices=("gap", "routes", "determinant", "theta", "mc"),
                    help="run one suite (default: the deterministic ones, plus mc "
                         "under --strict)")
-    v.add_argument("--seed", type=int, help="seed for the mc suite")
+    v.add_argument("--seed", type=_seed, help="seed for the mc suite")
     v.add_argument("--strict", action="store_true",
                    help="refuse implicit defaults (mc suite then requires --seed)")
     return parser

@@ -38,8 +38,9 @@ K / mult:
     is a rational function of D = w_i - w_j, its Cauchy factor and cross
     ratios all products of linear factors +-D + c, so it is formed on the
     2N-1 node offsets as one product of numerators over one of denominators,
-    and the tables are handed over as one (K, 2N-1) stack of offset vectors,
-    beside one (rows, N) array of exponents per line (quadrature.Interleavings).
+    and the tables are handed over as one (K, 2N-1) stack of offset vectors
+    with the line pair of each row, beside one (rows, N) array of exponents
+    per line (quadrature.Interleavings).
 """
 
 from __future__ import annotations
@@ -323,10 +324,11 @@ class _Placements(NamedTuple):
     # as parts are nonincreasing
     grow: tuple[tuple[int, int], ...]
     # Each table as a rational function of D = w_i - w_j on its line pair
-    # i < j: prod(num_sign * D + num_shift) / prod(den_sign * D + den_shift),
-    # the (K, F, 1) factor arrays padded with the constant 1.  pole_mask marks
-    # the cross-ratio denominators, pole_keys their cross keys in mask order.
-    table_lines: tuple[np.ndarray, np.ndarray]  # (i, j) per table, (K,) each
+    # (i, j) = pairs[r], i < j: prod(num_sign * D + num_shift) /
+    # prod(den_sign * D + den_shift), the (K, F, 1) factor arrays padded with
+    # the constant 1.  pole_mask marks the cross-ratio denominators,
+    # pole_keys their cross keys in mask order.
+    pairs: tuple[tuple[int, int], ...]
     num: tuple[np.ndarray, np.ndarray]  # (num_sign, num_shift)
     den: tuple[np.ndarray, np.ndarray]  # (den_sign, den_shift)
     pole_mask: np.ndarray
@@ -356,8 +358,8 @@ def _placements(parts: tuple[int, ...]) -> _Placements:
 
     Placements name tables by row, in the order first met, and closings by
     exponent row, the line's closing positions in sorted order.  The graph
-    also keeps each table's linear factors (see _Placements), so an
-    integrand forms every table with a few array operations.
+    also keeps each table's line pair and linear factors (see _Placements),
+    so an integrand forms every table with a few array operations.
     """
     ell = len(parts)
     start, final = ((),) * ell, (None,) * ell
@@ -386,7 +388,7 @@ def _placements(parts: tuple[int, ...]) -> _Placements:
                         name = ("cross" if closes is None else "closing", k, o, u, left)
                         cross = tuple((k, u, o - ou) for ou in range(parts[u] - left, parts[u]))
                         factors[name] = (cross, None if closes is None else (min(k, u), max(k, u)))
-                        tables.append((u, name))
+                        tables.append(name)
                 if closes is not None:
                     closings[k].add(taken)
                     taken = None
@@ -401,7 +403,7 @@ def _placements(parts: tuple[int, ...]) -> _Placements:
     closings = tuple(tuple(sorted(c)) for c in closings)
     closing_rows = [{taken: r for r, taken in enumerate(c)} for c in closings]
     steps = tuple(
-        tuple(Placement(ids[dst], k, tuple((u, rows[name]) for u, name in tables),
+        tuple(Placement(ids[dst], k, tuple(rows[name] for name in tables),
                         None if closes is None else closing_rows[k][closes])
               for dst, k, tables, closes in out)
         for out in moves.values()) + ((),)
@@ -411,30 +413,30 @@ def _placements(parts: tuple[int, ...]) -> _Placements:
             for alpha in range(beta + 1, lam):
                 d = beta - alpha
                 scalar *= (d - 1.0) / d
-    lines, num, den, poles = [], [], [], []
+    pairs, num, den, poles = [], [], [], []
     for cross, cauchy in factors.values():
         k, u = cross[0][:2]
         i, j = min(k, u), max(k, u)
-        lines.append((i, j))
+        pairs.append((i, j))
         num.append([] if cauchy is None else [(1.0, parts[i] - parts[j]), (-1.0, 0.0)])
         den.append([] if cauchy is None else [(1.0, parts[i]), (-1.0, parts[j])])
         for cu, cv, d in cross:  # (w_cu - w_cv + d - 1) / (w_cu - w_cv + d)
             sign = 1.0 if cu < cv else -1.0
             num[-1].append((sign, d - 1.0))
-            poles.append((len(lines) - 1, len(den[-1]), (cu, cv, d)))
+            poles.append((len(pairs) - 1, len(den[-1]), (cu, cv, d)))
             den[-1].append((sign, d))
     width = max(map(len, num + den), default=0)
     num, den = ([f + [(0.0, 1.0)] * (width - len(f)) for f in fs] for fs in (num, den))
-    pole_mask = np.zeros((len(lines), width), dtype=bool)
+    pole_mask = np.zeros((len(pairs), width), dtype=bool)
     for row, col, _ in poles:
         pole_mask[row, col] = True
     pole_mask.flags.writeable = False
     return _Placements(
         steps=steps, closings=closings, tables=tuple(factors.values()), scalar=scalar,
         grow=tuple((off, sum(lam > off for lam in parts)) for off in range(1, parts[0])),
-        table_lines=tuple(_frozen([pair[s] for pair in lines], int) for s in (0, 1)),
-        num=tuple(_frozen(num, float).reshape(len(lines), width, 2)[..., s, None] for s in (0, 1)),
-        den=tuple(_frozen(den, float).reshape(len(lines), width, 2)[..., s, None] for s in (0, 1)),
+        pairs=tuple(pairs),
+        num=tuple(_frozen(num, float).reshape(len(pairs), width, 2)[..., s, None] for s in (0, 1)),
+        den=tuple(_frozen(den, float).reshape(len(pairs), width, 2)[..., s, None] for s in (0, 1)),
         pole_mask=pole_mask,
         pole_keys=tuple(key for _, _, key in sorted(poles)),
     )
@@ -481,7 +483,7 @@ def cluster_integrand_batch(t, x, partition: Partition):
                 c[-1][r] += x_sorted[taken[off]]
                 d[-1][r] += x_sorted[taken[off]] * off
     c, d = np.array(c)[..., None], np.array(d)[..., None]
-    lower, upper = graph.table_lines
+    lower, upper = (np.array([pair[s] for pair in graph.pairs], dtype=int) for s in (0, 1))
     (num_sign, num_shift), (den_sign, den_shift) = graph.num, graph.den
 
     def f(Z):
@@ -498,6 +500,6 @@ def cluster_integrand_batch(t, x, partition: Partition):
             den = diffs * den_sign + den_shift
             _refuse_poles(den[graph.pole_mask], graph.pole_keys, DEFAULT_MIN_SEPARATION)
             tables = (diffs * num_sign + num_shift).prod(axis=1) / den.prod(axis=1)
-        return Interleavings(graph.steps, exponents, tables, coef)
+        return Interleavings(graph.steps, exponents, tables, graph.pairs, coef)
 
     return f

@@ -253,7 +253,11 @@ def top_cluster_closed_form(t: float, x) -> ScaledComplex:
 
 
 def leading_asymptotic(t: float, x) -> ScaledComplex:
-    """Large-t leading term: (n-1)!/sqrt(2 pi n t) e^{L_n t} * ground-state factor."""
+    """Large-t leading term: (n-1)!/sqrt(2 pi n t) e^{L_n t} * ground-state factor.
+
+    It omits the centre-of-mass factor exp(-(sum x)^2 / (2 n t)): for points
+    x_i = i t^p the moment / leading ratio tends to 1 only for p < 1/2.
+    """
     pts = SpacePoints.of(x)
     n = pts.n
     log = (

@@ -21,9 +21,10 @@ transposes T, and since N is odd g[::2] is the coarse grid's offset vector.
 
 A term travels compact: per line one (rows, N) array of exponents, a row per
 way the line can close, and its tables stacked as one (K, 2N-1) array of
-offset vectors.  Placements name rows of both.  Each line's exponents are
-vetted and exponentiated in one pass, and the tables vetted on their offsets,
-2N-1 values each.
+offset vectors, beside `pairs`, the line pair (i, j), i < j, of each table
+row: the one place a table's lines are stated.  Placements name rows of both
+arrays.  Each line's exponents are vetted and exponentiated in one pass, and
+the tables vetted on their offsets, 2N-1 values each.
 
 The trapezoid sum over the N**lines grid is a recursion over the placement
 states (variable elimination, as in opt_einsum, shared between orders as in
@@ -124,10 +125,10 @@ class QuadratureResult:
 class Placement(NamedTuple):
     """One step of a placement order, into state dst.
 
-    The step multiplies in table row r for every (u, r) in `tables`, each a
-    table between `line` and line u.  When `closes` is not None the step is
-    the line's last: exp(exponents[line][closes]) goes in and the line is
-    summed out.
+    The step multiplies in every table row r in `tables`, each joining
+    `line` to another open line (the term's pairs[r]).  When `closes` is not
+    None the step is the line's last: exp(exponents[line][closes]) goes in
+    and the line is summed out.
     """
 
     dst: int
@@ -146,12 +147,13 @@ class Interleavings:
     yet must be reached by one path.  exponents holds per line a (rows, N)
     complex array, one row per way the line can close; tables is the (K, 2N-1)
     stack of offset vectors, row r the table T[a, b] = tables[r, a - b + N - 1]
-    indexed (node on the lower line, node on the higher line).
+    on the line pair (i, j) = pairs[r], i < j, indexed (node on i, node on j).
     """
 
     steps: tuple
     exponents: tuple
     tables: np.ndarray
+    pairs: tuple
     coef: complex = 1.0
 
     @classmethod
@@ -166,15 +168,15 @@ class Interleavings:
         pair not listed contributes 1.
         """
         exponents = tuple(np.asarray(e)[None, :] for e in exponents)
-        rows = {pair: r for r, pair in enumerate(pairs)}
+        pairs = tuple(pairs)
         steps = tuple(
             (Placement(dst=i + 1, line=k, closes=0,
-                       tables=tuple((u, rows[u, k]) for u in range(k) if (u, k) in rows)),)
+                       tables=tuple(r for r, (_, j) in enumerate(pairs) if j == k)),)
             for i, k in enumerate(range(len(exponents) - 1, -1, -1))
         ) + ((),)
-        if not rows:
+        if not pairs:
             tables = np.empty((0, 2 * exponents[0].shape[1] - 1), dtype=complex)
-        return cls(steps, exponents, tables, coef)
+        return cls(steps, exponents, tables, pairs, coef)
 
 
 def _grid_1d(plan: ContourPlan):
@@ -247,34 +249,17 @@ def _line_vectors(exponents, w, Z):
 def _vet_tables(term: Interleavings, Z):
     """Refuse a term whose tables hold a non-finite value, naming the line
     pair and one node pair (a, b) whose offset a - b holds it."""
-    if not term.tables.size:
-        return
     finite = np.isfinite(term.tables)
     if finite.all():
         return
     row, m = divmod(int(np.argmin(finite)), term.tables.shape[1])
     m -= Z.shape[1] - 1  # the node offset a - b
     a = max(m, 0)
-    lines = next(((min(s.line, u), max(s.line, u)) for steps in term.steps for s in steps
-                  for u, r in s.tables if r == row), None)
-    if lines is None:
-        raise NumericsError(f"integrand table {row}, which no step uses, not finite "
-                            f"at node offset {m}")
-    i, j = lines
+    i, j = term.pairs[row]
     raise NumericsError(
         f"integrand factor not finite on lines {i + 1},{j + 1} at "
         f"w_{i + 1}={Z[i, a]:.6g}, w_{j + 1}={Z[j, a - m]:.6g}, grid indices [{a}, {a - m}]"
     )
-
-
-def _spread(table, ak, au, ndim):
-    """A table indexed (node on k, node on u) shaped to broadcast over ndim
-    axes with k on axis ak and u on axis au."""
-    if ak > au:
-        table = table.T
-    shape = [1] * ndim
-    shape[ak] = shape[au] = table.shape[0]
-    return table.reshape(shape)
 
 
 def _matmul(a, b, out=None):
@@ -332,28 +317,26 @@ def _eliminate_three(core, axis, v, facs):
     return out
 
 
-def _sum_out(core, axis, v, facs, cube=None):
+def _sum_out(core, axis, v, facs, cube):
     """Sum line k out of a message.  core spans the open lines with k on
     `axis` (None: no line summed out yet); v is line k's vector and facs its
     tables to the other open lines, in line order, each a factor oriented
     (node on k, node on u).  Returns the message over the other open lines;
-    one over three lines is written into cube, or a fresh array if None."""
+    one over three lines is written into the (N, N, N) array cube."""
     if core is None:
         if not facs:
             return complex(v.sum())
         if len(facs) == 1:  # out[b] = sum_a v[a] g[a - b + N - 1]
             return np.convolve(facs[0][0][::-1], v, "valid")
         if len(facs) == 3:
-            if cube is None:
-                cube = np.empty((v.size,) * 3, dtype=complex)
             return _eliminate_four(v, facs, cube)
         return _matmul((_square(facs[0]) * v[:, None]).T, _square(facs[1]))
     if core.ndim == 1:
         return complex(core @ v)
     if core.ndim == 3:
         return _eliminate_three(core, axis, v, facs)
-    prod = core * _spread(_square(facs[0]) * v[:, None], axis, 1 - axis, 2)
-    return prod.sum(axis=axis)
+    table = _square(facs[0]) * v[:, None]  # (node on k, node on u)
+    return (core * (table if axis == 0 else table.T)).sum(axis=axis)
 
 
 # A message is (open, core, pending): the lines not yet summed out,
@@ -363,17 +346,19 @@ def _sum_out(core, axis, v, facs, cube=None):
 # is (g, view): an offset vector and its (N, N) view, oriented (node on i,
 # node on j); reversing g and transposing the view flip it.  Tables of one
 # pair multiply on their offsets, and their product gets a view (None until
-# then) only where it meets a dense message.
+# then) only where it meets a dense message.  A message stored with a core
+# spans at most two lines (three-line ones are pushed on), so a pending
+# table meets it as it is: i on axis 0, j on axis 1.
 
 
 def _advance(msg, step, vectors, tables, cube):
     open_, core, pending = msg
     k = step.line
     if step.tables:
-        stack, views = tables
+        stack, views, pairs = tables
         pending = dict(pending)
-        for u, row in step.tables:
-            pair = (k, u) if k < u else (u, k)
+        for row in step.tables:
+            pair = pairs[row]
             old = pending.get(pair)
             if old is None:
                 pending[pair] = (stack[row], views[row])
@@ -405,8 +390,8 @@ def _deposit(acc, state, msg):
             raise ValueError(f"state {state} is reached by two paths before any line closes")
         acc[state] = msg
         return
-    for (i, j), fac in pending.items():
-        core = core * _spread(_square(fac), open_.index(i), open_.index(j), core.ndim)
+    for fac in pending.values():
+        core = core * _square(fac)
     prev = acc.get(state)
     acc[state] = (open_, core if prev is None else prev[1] + core, {})
 
@@ -436,7 +421,7 @@ def _sum_orders(term: Interleavings, vectors, tables):
     cube = None
     if len(term.exponents) == 4:
         cube = np.empty((vectors[0].shape[1],) * 3, dtype=complex)
-    ctx = (term.steps, acc, vectors, (tables, views), cube)
+    ctx = (term.steps, acc, vectors, (tables, views, term.pairs), cube)
     last = len(term.steps) - 1
     for state in range(last):
         msg = acc.pop(state, None)
@@ -453,9 +438,9 @@ def _trapezoid_sums(f, plan: ContourPlan, num_lines: int, re_parts):
     term = f(Z)
     if len(term.exponents) != num_lines:
         raise ValueError(f"integrand term has {len(term.exponents)} lines, need {num_lines}")
-    if term.tables.ndim != 2 or term.tables.shape[1] != offsets:
-        raise ValueError(f"integrand tables must be offset vectors stacked ({offsets} "
-                         f"columns), got shape {term.tables.shape}")
+    if term.tables.shape != (len(term.pairs), offsets):
+        raise ValueError(f"integrand tables must be one offset vector per line pair, "
+                         f"shape {(len(term.pairs), offsets)}, got {term.tables.shape}")
     vectors, log = _line_vectors(term.exponents, w, Z)
     _vet_tables(term, Z)
     full = _sum_orders(term, vectors, term.tables)
@@ -473,7 +458,8 @@ def integrate_tensor(f, plan: ContourPlan, num_lines: int, decay_rates=None, abs
 
     f(Z) -> one Interleavings, with Z of shape (num_lines, N) holding each
     line's nodes, all lines on the same imaginary parts (the grid invariant
-    above), and the term's tables given as offset vectors of length 2N-1.
+    above), and the term's tables given as offset vectors of length 2N-1, one
+    per entry of its pairs.
     Line k sits at Re w = theta + k*epsilon unless explicit `abscissas`
     override the real parts.  decay_rates (per-line Gaussian coefficients a_k with
     |integrand| ~ exp(-a_k y_k^2)) feed the tail bound.

@@ -284,6 +284,12 @@ def test_usage_error_leaves_the_parser_unchanged(capsys, bad):
     (["moment", "--t", "1.0", "--x", "0.0", "nan"], "argument --x: must be finite, got 'nan'"),
     (["moment", "--t", "1.0", "--n", "2", "--theta", "inf"],
      "argument --theta: must be finite, got 'inf'"),
+    (["moment", "--t", "1", "--n", "3", "--epsilon", "0"],
+     "--epsilon must lie strictly between 0 and 1/(n-1) = 0.5 at n=3, got 0.0"),
+    (["moment", "--t", "1", "--n", "3", "--epsilon", "0.9"],
+     "--epsilon must lie strictly between 0 and 1/(n-1) = 0.5 at n=3, got 0.9"),
+    (["verify", "--suite", "mc", "--seed", "-1"],
+     "argument --seed: must be an integer >= 0, got '-1'"),
 ])
 def test_bad_values_are_usage_errors(capsys, argv, message):
     # refused by the parser with exit 2 and one message, not a traceback

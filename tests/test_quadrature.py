@@ -397,7 +397,41 @@ def test_nested_tables_match_node_pair_form(n, nodes):
     for i, j in itertools.combinations(range(n), 2):
         d = _pair_differences(Z, i, j)
         want[i, j] = d / (d - 1.0)
-    _assert_tables_match(dict(zip(want, term.tables)), want)
+    _assert_tables_match(dict(zip(term.pairs, term.tables)), want)
+
+
+@pytest.mark.parametrize("p", TABLE_CASES, ids=str)
+def test_cluster_table_pairs_name_the_lines_of_every_factor(p):
+    # a table row's line pair, stated once on the term, is the line pair of
+    # each of its cross ratios and of its Cauchy factor
+    plan = auto_cluster_plan(ORACLE_T, p, FIVE_POINT_X[:p.n], nodes=11)
+    Z = _grid(plan, plan.theta + plan.epsilon * np.arange(p.length))
+    term = cluster_integrand_batch(ORACLE_T, FIVE_POINT_X[:p.n], p)(Z)
+    graph = _placements(p.parts)
+    assert len(term.pairs) == len(graph.tables) == term.tables.shape[0]
+    for pair, (keys, cauchy) in zip(term.pairs, graph.tables):
+        assert pair[0] < pair[1]
+        assert keys and all((min(cu, cv), max(cu, cv)) == pair for cu, cv, _ in keys)
+        assert cauchy is None or cauchy == pair
+    assert {pair for *_, pair in graph.tables if pair is not None} == set(
+        itertools.combinations(range(p.length), 2))
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_tables_not_one_per_pair_refused_before_any_sum(monkeypatch, extra):
+    # a stack with a row more or fewer than the term has line pairs
+    sums = []
+    monkeypatch.setattr(quadrature, "_sum_orders", lambda *args: sums.append(args))
+    n, pairs = 7, ((0, 1), (0, 2), (1, 2))
+
+    def f(Z):
+        tables = np.ones((len(pairs) + extra, 2 * n - 1), dtype=complex)
+        return Interleavings.product(tuple(0.5 * z * z for z in Z), pairs, tables)
+
+    plan = ContourPlan(theta=0.0, epsilon=0.1, half_width=2.0, nodes_per_line=n)
+    with pytest.raises(ValueError, match="one offset vector per line pair"):
+        integrate_tensor(f, plan, 3)
+    assert not sums
 
 
 @pytest.mark.parametrize("nodes", [11, 35])
@@ -431,7 +465,7 @@ def test_four_singletons_take_four_four_line_eliminations(monkeypatch):
     calls = []
     inner = quadrature._sum_out
 
-    def counted(core, axis, v, facs, cube=None):
+    def counted(core, axis, v, facs, cube):
         calls.append((None if core is None else core.ndim, len(facs)))
         return inner(core, axis, v, facs, cube)
 
@@ -490,8 +524,9 @@ def test_four_line_elimination_matches_dense_formula(flips):
     facs = [_factor(n, rng, flip) for flip in flips]
     dense = [np.array(quadrature._square(f)) for f in facs]
     want = np.einsum("d,da,db,dc->abc", v, *dense)
-    got = quadrature._sum_out(None, None, v, facs)
-    assert got.shape == (n, n, n)
+    cube = np.empty((n, n, n), dtype=complex)
+    got = quadrature._sum_out(None, None, v, facs, cube)
+    assert got is cube
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -506,17 +541,17 @@ def test_three_line_sum_out_matches_dense_formula(axis, flips):
     near, far = (np.array(quadrature._square(f)) for f in facs)
     spec = {0: "kpq", 1: "pkq", 2: "pqk"}[axis]
     want = np.einsum(f"{spec},k,kp,kq->pq", core, v, near, far)
-    got = quadrature._sum_out(core, axis, v, facs)
+    got = quadrature._sum_out(core, axis, v, facs, None)
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_four_line_eliminations_share_one_lent_cube(monkeypatch):
     # within one term and grid every four-line elimination writes into the
-    # same array; a call given no cube gets its own
+    # same array
     cubes = []
     inner = quadrature._sum_out
 
-    def spy(core, axis, v, facs, cube=None):
+    def spy(core, axis, v, facs, cube):
         out = inner(core, axis, v, facs, cube)
         if core is None and len(facs) == 3:
             cubes.append(out)
@@ -529,10 +564,6 @@ def test_four_line_eliminations_share_one_lent_cube(monkeypatch):
     full, coarse = cubes[:4], cubes[4:]
     assert len(coarse) == 4
     assert all(c is full[0] for c in full) and all(c is coarse[0] for c in coarse)
-    rng = np.random.default_rng(1)
-    v = np.ones(5, dtype=complex)
-    facs = [_factor(5, rng, False) for _ in range(3)]
-    assert not np.shares_memory(inner(None, None, v, facs), inner(None, None, v, facs))
 
 
 def test_two_line_term_never_forms_a_square_table():
