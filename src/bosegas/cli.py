@@ -9,9 +9,13 @@ Subcommands:
 Exit codes: 0 success, 1 failed verification or numerical failure, 2 bad
 usage, 3 requested size beyond the supported dimension limits.
 
-All floats print with 17 significant digits; a plain decimal column is
-included whenever the scaled value fits in ordinary double range
-(|log scale| < 300).  Output records end with a line feed.
+Each command builds its records once, as `--format json` prints them, and
+`--format csv` is a column view of the same records: every CSV field is a
+field of a JSON record (the moment's `term` column is a term's `partition`,
+or `total` for the total record).  All floats print with 17 significant
+digits; the decimal field is null, an empty CSV field, unless the scaled
+value fits in ordinary double range (|log scale| < 300).  Output records end
+with a line feed.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -44,13 +49,19 @@ from .quadrature import QuadratureResult
 from .scaled import ScaledComplex
 from .spectral import SpacePoints, verify_gap
 
+MOMENT_HEADER = "term,value_mantissa,value_logscale,value_decimal,tail_bound,step_estimate"
 TABLE_HEADER = ("t,moment_mantissa,moment_logscale,leading_mantissa,"
                 "leading_logscale,ratio,ratio_err")
+_MOMENT_COLUMNS = ("partition", "mantissa_re", "log_scale", "decimal", "tail_bound",
+                   "step_estimate")
 _DECIMAL_LIMIT = 300.0
 
 
-def _f(v: float) -> str:
-    return f"{float(v):.17g}"
+def _f(v) -> str:
+    """One CSV field: a float to 17 significant digits, None empty, text as is."""
+    if v is None:
+        return ""
+    return v if isinstance(v, str) else f"{float(v):.17g}"
 
 
 def _decimal(value: ScaledComplex):
@@ -74,15 +85,17 @@ def _value_record(value: ScaledComplex, result: QuadratureResult | None = None):
     return rec
 
 
-def _emit_json(inputs, results, errors, seed=None):
-    doc = {
-        "inputs": inputs,
-        "results": results,
-        "errors": errors,
-        "version": __version__,
-        "seed": seed,
-    }
-    sys.stdout.write(json.dumps(doc) + "\n")
+def _write(args, inputs, results, errors, header: str, rows) -> int:
+    """Print one command's records: the JSON envelope, or under CSV the
+    header and one line per row of values read from those records."""
+    if args.format == "json":
+        doc = {"inputs": inputs, "results": results, "errors": errors,
+               "version": __version__, "seed": None}
+        sys.stdout.write(json.dumps(doc) + "\n")
+    else:
+        lines = [header] + [",".join(map(_f, row)) for row in rows]
+        sys.stdout.write("\n".join(lines) + "\n")
+    return 0
 
 
 def _points_from_args(parser, args) -> SpacePoints:
@@ -109,35 +122,19 @@ def _cmd_moment(parser, args) -> int:
     overrides = dict(nodes=args.nodes, half_width=args.half_width)
     if args.route == "partition":
         pieces = cluster_breakdown(req, theta=args.theta, epsilon=args.epsilon, **overrides)
-        rows = [(str(p), res) for p, res in pieces]
-        total = combine_results(r for _, r in rows)
+        total = combine_results(r for _, r in pieces)
     else:
-        rows, total = [], moment_nested_contours(req, **overrides)
+        pieces, total = (), moment_nested_contours(req, **overrides)
 
     inputs = {"command": "moment", "t": args.t, "x": list(pts.coords), "route": args.route,
               "nodes": args.nodes, "theta": args.theta, "epsilon": args.epsilon,
               "half_width": args.half_width}
-    if args.format == "json":
-        results = {
-            "terms": [dict(partition=name, **_value_record(r.value, r)) for name, r in rows],
-            "total": _value_record(total.value, total),
-        }
-        errors = {"tail_bound": total.tail_bound, "step_estimate": total.step_estimate}
-        _emit_json(inputs, results, errors)
-    else:
-        out = ["term,value_mantissa,value_logscale,value_decimal,tail_bound,step_estimate"]
-        for name, r in rows + [("total", total)]:
-            dec = _decimal(r.value)
-            out.append(",".join([
-                name,
-                _f(r.value.mantissa.real),
-                _f(r.value.log_scale),
-                "" if dec is None else _f(dec),
-                _f(r.tail_bound),
-                _f(r.step_estimate),
-            ]))
-        sys.stdout.write("\n".join(out) + "\n")
-    return 0
+    terms = [dict(partition=str(p), **_value_record(r.value, r)) for p, r in pieces]
+    results = {"terms": terms, "total": _value_record(total.value, total)}
+    errors = {"tail_bound": total.tail_bound, "step_estimate": total.step_estimate}
+    records = terms + [dict(partition="total", **results["total"])]
+    return _write(args, inputs, results, errors, MOMENT_HEADER,
+                  ([rec[k] for k in _MOMENT_COLUMNS] for rec in records))
 
 
 # --- asymptotic-table -------------------------------------------------------
@@ -147,42 +144,27 @@ def _cmd_table(parser, args) -> int:
     if args.x_power is not None and args.x_power >= 1.0:
         parser.error("--x-power must be < 1 so points stay inside the diffusive window")
     n = args.n
-    rows = []
+    results = []
     for t in args.t_list:
         if args.x_power is None:
             x = (0.0,) * n
         else:
             x = tuple(i * t ** args.x_power for i in range(n))
         r = asymptotic_ratio(MomentRequest(t, x))
-        rows.append((t, r))
+        results.append({
+            "t": t,
+            "moment": _value_record(r.moment.value, r.moment),
+            "leading": _value_record(r.leading),
+            "ratio": r.ratio,
+            "ratio_err": r.error,
+        })
     inputs = {"command": "asymptotic-table", "n": n, "t_list": list(args.t_list),
               "x_power": args.x_power}
-    if args.format == "json":
-        results = [
-            {
-                "t": t,
-                "moment": _value_record(r.moment.value, r.moment),
-                "leading": _value_record(r.leading),
-                "ratio": r.ratio,
-                "ratio_err": r.error,
-            }
-            for t, r in rows
-        ]
-        _emit_json(inputs, results, {"note": "ratio_err propagates tail and step estimates"})
-    else:
-        out = [TABLE_HEADER]
-        for t, r in rows:
-            out.append(",".join([
-                _f(t),
-                _f(r.moment.value.mantissa.real),
-                _f(r.moment.value.log_scale),
-                _f(r.leading.mantissa.real),
-                _f(r.leading.log_scale),
-                _f(r.ratio),
-                _f(r.error),
-            ]))
-        sys.stdout.write("\n".join(out) + "\n")
-    return 0
+    return _write(args, inputs, results, {"note": "ratio_err propagates tail and step estimates"},
+                  TABLE_HEADER,
+                  ([rec["t"], rec["moment"]["mantissa_re"], rec["moment"]["log_scale"],
+                    rec["leading"]["mantissa_re"], rec["leading"]["log_scale"],
+                    rec["ratio"], rec["ratio_err"]] for rec in results))
 
 
 # --- verify ----------------------------------------------------------------
@@ -193,7 +175,7 @@ def _check(name: str, ok: bool, detail: str, lines: list[str]) -> bool:
     return ok
 
 
-def _suite_gap(lines: list[str]) -> bool:
+def _suite_gap(lines: list[str], seed: int) -> bool:
     ok = True
     for n in range(2, 13):
         report = verify_gap(n)
@@ -203,7 +185,7 @@ def _suite_gap(lines: list[str]) -> bool:
     return ok
 
 
-def _suite_routes(lines: list[str]) -> bool:
+def _suite_routes(lines: list[str], seed: int) -> bool:
     ok = True
     for t, x in ((1.0, (0.0, 0.5)), (0.8, (0.0, 0.3, -0.5))):
         req = MomentRequest(t, x)
@@ -227,7 +209,7 @@ def separated_points(rng, count: int, min_gap: float = 0.3):
             return pts
 
 
-def _suite_determinant(lines: list[str]) -> bool:
+def _suite_determinant(lines: list[str], seed: int) -> bool:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(2024)))
     worst = 0.0
     for _ in range(200):
@@ -242,7 +224,7 @@ def _suite_determinant(lines: list[str]) -> bool:
                   lines)
 
 
-def _suite_theta(lines: list[str]) -> bool:
+def _suite_theta(lines: list[str], seed: int) -> bool:
     ok = True
     t, x = 1.0, (0.0, 0.2, -0.4)
     for p in enumerate_partitions(3):
@@ -275,26 +257,19 @@ def _suite_mc(lines: list[str], seed: int) -> bool:
                   f"{3 * est.std_error:.2e} (seed {seed}, clips {est.clip_count})", lines)
 
 
+# in the order `verify` runs them; every one but mc is deterministic
+_SUITES = {"gap": _suite_gap, "routes": _suite_routes, "determinant": _suite_determinant,
+           "theta": _suite_theta, "mc": _suite_mc}
+
+
 def _cmd_verify(parser, args) -> int:
     if args.strict and args.seed is None and args.suite in (None, "mc"):
         parser.error("--strict verification of the mc suite needs an explicit --seed")
-    if args.suite:
-        suites = [args.suite]
-    else:
-        suites = ["gap", "routes", "determinant", "theta"] + (["mc"] if args.strict else [])
+    suites = [args.suite] if args.suite else [s for s in _SUITES if s != "mc" or args.strict]
     lines: list[str] = []
     all_ok = True
     for name in suites:
-        if name == "gap":
-            all_ok &= _suite_gap(lines)
-        elif name == "routes":
-            all_ok &= _suite_routes(lines)
-        elif name == "determinant":
-            all_ok &= _suite_determinant(lines)
-        elif name == "theta":
-            all_ok &= _suite_theta(lines)
-        elif name == "mc":
-            all_ok &= _suite_mc(lines, 0 if args.seed is None else args.seed)
+        all_ok &= _SUITES[name](lines, 0 if args.seed is None else args.seed)
     lines.append(f"{'OK' if all_ok else 'FAILED'}: "
                  f"{sum(l.startswith('PASS') for l in lines)}/{len(lines)} checks passed")
     sys.stdout.write("\n".join(lines) + "\n")
@@ -325,8 +300,17 @@ _seed = _argument(int, lambda v: v >= 0, "an integer >= 0")
 _nodes = _argument(int, lambda v: v >= 3 and v % 2 == 1, "an odd integer >= 3")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes "-1e-3" for a negative number, as it takes "-0.001", and not
+    for an option; subparsers are built with the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bosegas",
         description="Exact moments of the multiplicative-noise heat equation "
                     "via contour quadrature, with independent cross-checks.",
@@ -335,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     m = sub.add_parser("moment", help="evaluate one joint moment")
+    m.set_defaults(run=_cmd_moment)
     m.add_argument("--t", type=_positive, required=True, help="time, > 0")
     m.add_argument("--n", type=_count, help="number of points (all at 0 unless --x given)")
     m.add_argument("--x", type=_finite, nargs="+", help="evaluation points")
@@ -346,6 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--format", choices=("csv", "json"), default="csv")
 
     a = sub.add_parser("asymptotic-table", help="moment vs leading term over times")
+    a.set_defaults(run=_cmd_table)
     a.add_argument("--n", type=_count, required=True)
     a.add_argument("--t-list", type=_positive, nargs="+", required=True)
     a.add_argument("--x-power", type=_finite,
@@ -355,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--format", choices=("csv", "json"), default="csv")
 
     v = sub.add_parser("verify", help="run self-check suites")
-    v.add_argument("--suite", choices=("gap", "routes", "determinant", "theta", "mc"),
+    v.set_defaults(run=_cmd_verify)
+    v.add_argument("--suite", choices=tuple(_SUITES),
                    help="run one suite (default: the deterministic ones, plus mc "
                         "under --strict)")
     v.add_argument("--seed", type=_seed, help="seed for the mc suite")
@@ -376,11 +363,7 @@ def main(argv=None) -> int:
     parser = _shared_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "moment":
-            return _cmd_moment(parser, args)
-        if args.command == "asymptotic-table":
-            return _cmd_table(parser, args)
-        return _cmd_verify(parser, args)
+        return args.run(parser, args)
     except UnsupportedDimensionError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

@@ -42,7 +42,6 @@ from .scaled import ScaledComplex
 from .spectral import (SpacePoints, log_ground_state, lyapunov_exponent, optimal_theta,
                        sorted_pairing_exponent)
 
-MAX_SUM_SIZE = 4  # full partition sum / nested contours
 MAX_TOP_SIZE = 9  # single full-cluster integral
 TAIL_TOL = 1e-12
 TAIL_SAFETY = 20.0  # log-margin absorbing non-Gaussian prefactors
@@ -169,9 +168,9 @@ def cluster_breakdown(req: MomentRequest,
     checked against the array limit before any integral is computed, so an
     oversize grid fails at once.
     """
-    if req.n > MAX_SUM_SIZE:
+    if req.n > MAX_LINES:  # the partition 1+...+1 takes n lines
         raise UnsupportedDimensionError(
-            f"full partition sum supports n <= {MAX_SUM_SIZE}, got n={req.n}"
+            f"full partition sum supports n <= {MAX_LINES}, got n={req.n}"
         )
     _refuse_plan_and_overrides(req, overrides)
     plans = [(p, req.plan or auto_cluster_plan(req.t, p, req.x, **overrides))
@@ -327,11 +326,16 @@ def auto_nested_plan(t: float, abscissas, nodes: int | None = None,
 
 def moment_nested_contours(req: MomentRequest, abscissas=None, **overrides) -> QuadratureResult:
     """The moment as one n-fold integral over strictly nested contours, on
-    req.plan or on auto_nested_plan sized with its overrides (nodes, half_width)."""
+    req.plan or on auto_nested_plan sized with its overrides (nodes, half_width).
+
+    The lines always sit at `abscissas` (default_abscissas unless given), so
+    a req.plan contributes only its half_width and nodes_per_line: its theta
+    and epsilon are ignored.
+    """
     n = req.n
-    if n > MAX_SUM_SIZE:
+    if n > MAX_LINES:  # one line per point
         raise UnsupportedDimensionError(
-            f"nested contours support n <= {MAX_SUM_SIZE}, got n={n}"
+            f"nested contours support n <= {MAX_LINES}, got n={n}"
         )
     _refuse_plan_and_overrides(req, overrides)
     if abscissas is None:

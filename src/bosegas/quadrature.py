@@ -435,7 +435,10 @@ def _trapezoid_sums(f, plan: ContourPlan, num_lines: int, re_parts):
     y, w = _grid_1d(plan)
     Z = re_parts[:, None] + 1j * y[None, :]
     offsets = 2 * plan.nodes_per_line - 1
-    term = f(Z)
+    # an overflow becomes inf or nan here, and the vetting below refuses it
+    # with the line and node where it happened
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        term = f(Z)
     if len(term.exponents) != num_lines:
         raise ValueError(f"integrand term has {len(term.exponents)} lines, need {num_lines}")
     if term.tables.shape != (len(term.pairs), offsets):

@@ -3,6 +3,7 @@
 import json
 import math
 import time
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -199,6 +200,7 @@ def test_exit_code_3_for_oversize_requests(capsys):
     ["verify", "--suite", "mc", "--strict"],
     ["verify", "--suite", "nonsense"],
     ["moment"],                                                # missing --t
+    ["moment", "--t", "1.0", "--x", "0.0", "--bogus"],        # still an option, not a value
 ])
 def test_usage_errors_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as err:
@@ -301,3 +303,62 @@ def test_bad_values_are_usage_errors(capsys, argv, message):
     assert captured.out == ""
     assert captured.err.startswith("usage: bosegas")
     assert captured.err.endswith(f"error: {message}\n")
+
+
+def test_negative_values_in_exponent_form_are_numbers(capsys):
+    # argparse alone reads "-1e-3" as an option; the parser takes it as -0.001
+    assert run(capsys, ["moment", "--t", "1", "--x", "0", "-1e-3"]) == \
+        run(capsys, ["moment", "--t", "1", "--x", "0", "-0.001"])
+    assert run(capsys, ["moment", "--t", "1", "--n", "2", "--theta", "-1e-3"])[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["moment", "--t", "1", "--x", "1e200"],
+    ["moment", "--t", "1", "--x", "1e200", "--route", "nested"],
+    ["moment", "--t", "1", "--n", "3", "--theta", "1e300"],
+])
+def test_overflowing_integrand_is_one_error_line(capsys, argv):
+    # the overflow is reported once, as the error naming its line and node,
+    # with no numpy warning ahead of it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: integrand factor not finite")
+    assert captured.err.count("\n") == 1
+
+
+CSV_JSON_MATRIX = [
+    *(["moment", "--t", "1.5", "--n", str(n), "--route", route]
+      for n in (1, 2, 3) for route in ("partition", "nested")),
+    ["moment", "--t", "0.8", "--x", "0.1", "-0.3", "0.5"],
+    ["moment", "--t", "1e300", "--n", "1"],  # beyond double range: no decimal
+    ["asymptotic-table", "--n", "2", "--t-list", "5", "10", "20"],
+    ["asymptotic-table", "--n", "3", "--t-list", "1", "4", "--x-power", "0.3"],
+]
+
+
+def json_rows(doc):
+    """The CSV rows a JSON document should print, field by field."""
+    if doc["inputs"]["command"] == "moment":
+        results = doc["results"]
+        records = results["terms"] + [dict(results["total"], partition="total")]
+        keys = ("partition", "mantissa_re", "log_scale", "decimal", "tail_bound",
+                "step_estimate")
+        return [[rec[k] for k in keys] for rec in records]
+    return [[rec["t"], rec["moment"]["mantissa_re"], rec["moment"]["log_scale"],
+             rec["leading"]["mantissa_re"], rec["leading"]["log_scale"],
+             rec["ratio"], rec["ratio_err"]] for rec in doc["results"]]
+
+
+@pytest.mark.parametrize("argv", CSV_JSON_MATRIX, ids=" ".join)
+def test_csv_fields_are_the_json_fields(capsys, argv):
+    rc_csv, csv_out = run(capsys, argv)
+    rc_json, json_out = run(capsys, [*argv, "--format", "json"])
+    assert rc_csv == rc_json == 0
+    want = [[v if isinstance(v, str) else "" if v is None else "%.17g" % v for v in row]
+            for row in json_rows(json.loads(json_out))]
+    assert [line.split(",") for line in csv_out.splitlines()[1:]] == want
+    if argv[:3] == ["moment", "--t", "1e300"]:
+        assert [row[3] for row in want] == ["", ""]
