@@ -39,10 +39,8 @@ from .moments import (
     cluster_breakdown,
     cluster_integral,
     combine_results,
-    default_epsilon,
     moment_nested_contours,
     moment_partition_sum,
-    optimal_theta,
 )
 from .partitions import enumerate_partitions
 from .quadrature import QuadratureResult
@@ -230,9 +228,9 @@ def _suite_theta(lines: list[str], seed: int) -> bool:
     for p in enumerate_partitions(3):
         base = None
         worst = 0.0
-        theta0 = float(optimal_theta(p)) - sum(x) / (3 * t)
+        theta0 = auto_cluster_plan(t, p, x).theta
         for dtheta in (-0.3, 0.0, 0.3):
-            for eps in ((0.05, 0.1) if p.length > 1 else (default_epsilon(3),)):
+            for eps in ((0.05, 0.1) if p.length > 1 else (None,)):
                 plan = auto_cluster_plan(t, p, x, theta=theta0 + dtheta, epsilon=eps)
                 res = cluster_integral(MomentRequest(t, x, plan=plan), p)
                 if base is None:
@@ -302,11 +300,13 @@ _nodes = _argument(int, lambda v: v >= 3 and v % 2 == 1, "an odd integer >= 3")
 
 class _Parser(argparse.ArgumentParser):
     """Takes "-1e-3" for a negative number, as it takes "-0.001", and not
-    for an option; subparsers are built with the same class."""
+    for an option, and so "-inf" and "-nan" too, which the argument types
+    then refuse; subparsers are built with the same class."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -27,12 +27,13 @@ K / mult:
     times one table per line pair.  The surviving permutations are not
     expanded one by one.  A cross ratio's orientation depends only on which
     of its two coordinates comes later, so filling the positions from the
-    last to the first, a placed coordinate fixes its ratios with every
-    coordinate still unplaced: one line-pair table per open cluster.  The sum
-    over interleavings is then a recursion over how many coordinates of each
-    cluster are still unplaced (Held & Karp, J. SIAM 10 (1962) 196), and a
-    line is summed out as soon as its cluster is complete: for 1+1+1+1,
-    4 four-line eliminations and 12 three-line ones instead of 24 of each.
+    last to the first, a complete cluster has fixed its ratios with every
+    other cluster: each line pair's table enters whole when the first of its
+    two lines closes.  The sum over interleavings is then a recursion over how
+    many coordinates of each cluster are still unplaced (Held & Karp,
+    J. SIAM 10 (1962) 196), and a line is summed out as soon as its cluster
+    is complete: for 1+1+1+1, 4 four-line eliminations and 12 three-line
+    ones instead of 24 of each.
     Every line-pair factor depends on w_i - w_j only, and the lines share
     one uniform grid of imaginary parts, so each table is Toeplitz.  A table
     is a rational function of D = w_i - w_j, its Cauchy factor and cross
@@ -318,7 +319,7 @@ class _Placements(NamedTuple):
     steps: tuple[tuple[Placement, ...], ...]
     # per line, by exponent row: the positions the line closes with
     closings: tuple[tuple[tuple[int, ...], ...], ...]
-    tables: tuple  # per table row: (cross keys of its ratios, Cauchy line pair or None)
+    tables: tuple  # per table row: (cross keys of its ratios, its Cauchy line pair)
     scalar: float  # product of the within-cluster ratios, the same for every interleaving
     # (off, r) for off >= 1: lines 0..r-1 have more than off coordinates,
     # as parts are nonincreasing
@@ -342,12 +343,16 @@ def _placements(parts: tuple[int, ...]) -> _Placements:
     A state records, per cluster still open, the positions its coordinates
     took so far (its placed offsets are 0, 1, ... in that order, as offsets
     descend along the positions), and None once the cluster is complete.
-    Placing a coordinate of cluster k at offset o multiplies in one table per
-    open cluster u: its cross ratios with u's unplaced offsets, all at
-    earlier positions.  Placing k's last coordinate closes line k with the
-    positions its coordinates took, and its tables also carry the Cauchy
-    factors from k to the open clusters.  Once one cluster is left open,
-    its remaining coordinates take the remaining positions in one step.
+    Placing k's last coordinate closes line k with the positions its
+    coordinates took, and multiplies in one table per open cluster u, whole:
+    the Cauchy factor of the line pair times the lambda_k * lambda_u cross
+    ratios between their coordinates.  Each ratio is fixed by then, oriented
+    by which of its two coordinates takes the later position: u's where u
+    placed it before k placed its own, and k's otherwise, as u's unplaced
+    coordinates take earlier positions still.  So each line pair's table
+    enters once, whole, at the closing step of the first of its two lines,
+    and no other step carries a table.  Once one cluster is left open, its
+    remaining coordinates take the remaining positions in one step.
 
     The states are the prod(lambda_k + 1) counts of unplaced coordinates,
     told apart further by the positions a partly placed cluster took, so
@@ -356,10 +361,11 @@ def _placements(parts: tuple[int, ...]) -> _Placements:
     all-singleton partitions the states are exactly the 2**l subsets of
     open clusters.
 
-    Placements name tables by row, in the order first met, and closings by
-    exponent row, the line's closing positions in sorted order.  The graph
-    also keeps each table's line pair and linear factors (see _Placements),
-    so an integrand forms every table with a few array operations.
+    Placements name tables by row, in the order first met, one row per
+    distinct (k, u, cross keys), and closings by exponent row, the line's
+    closing positions in sorted order.  The graph also keeps each table's
+    line pair and linear factors (see _Placements), so an integrand forms
+    every table with a few array operations.
     """
     ell = len(parts)
     start, final = ((),) * ell, (None,) * ell
@@ -378,18 +384,19 @@ def _placements(parts: tuple[int, ...]) -> _Placements:
                 moves[key].append((final, k, (), taken))
                 continue
             for k in open_:
-                o = len(key[k])
                 taken = key[k] + (p,)
                 closes = taken if len(taken) == parts[k] else None
                 tables = []
-                for u in open_:
-                    if u != k:
-                        left = parts[u] - len(key[u])
-                        name = ("cross" if closes is None else "closing", k, o, u, left)
-                        cross = tuple((k, u, o - ou) for ou in range(parts[u] - left, parts[u]))
-                        factors[name] = (cross, None if closes is None else (min(k, u), max(k, u)))
-                        tables.append(name)
                 if closes is not None:
+                    for u in (u for u in open_ if u != k):
+                        # a ratio's key names first the coordinate at the later
+                        # position: u's only where u placed it before k's
+                        cross = tuple(
+                            (u, k, ou - o) if ou < len(key[u]) and key[u][ou] > taken[o]
+                            else (k, u, o - ou)
+                            for o in range(parts[k]) for ou in range(parts[u]))
+                        factors[k, u, cross] = (cross, (min(k, u), max(k, u)))
+                        tables.append((k, u, cross))
                     closings[k].add(taken)
                     taken = None
                 dst = key[:k] + (taken,) + key[k + 1:]
@@ -414,12 +421,10 @@ def _placements(parts: tuple[int, ...]) -> _Placements:
                 d = beta - alpha
                 scalar *= (d - 1.0) / d
     pairs, num, den, poles = [], [], [], []
-    for cross, cauchy in factors.values():
-        k, u = cross[0][:2]
-        i, j = min(k, u), max(k, u)
+    for cross, (i, j) in factors.values():
         pairs.append((i, j))
-        num.append([] if cauchy is None else [(1.0, parts[i] - parts[j]), (-1.0, 0.0)])
-        den.append([] if cauchy is None else [(1.0, parts[i]), (-1.0, parts[j])])
+        num.append([(1.0, parts[i] - parts[j]), (-1.0, 0.0)])
+        den.append([(1.0, parts[i]), (-1.0, parts[j])])
         for cu, cv, d in cross:  # (w_cu - w_cv + d - 1) / (w_cu - w_cv + d)
             sign = 1.0 if cu < cv else -1.0
             num[-1].append((sign, d - 1.0))
@@ -458,7 +463,8 @@ def cluster_integrand_batch(t, x, partition: Partition):
     c and d collecting the x_(i) at the positions its coordinates took.  Line
     pair i < j carries the Cauchy factor of the cluster determinant,
         (d + lambda_i - lambda_j)(-d) / ((d + lambda_i)(lambda_j - d)),
-    d = w_i - w_j, and each placement the cross-cluster ratios it fixes.
+    d = w_i - w_j, times the cross-cluster ratios between the two clusters,
+    all in the table the first of the two lines to close multiplies in.
 
     f relies on the grid invariant of quadrature: Z[k] = re_k + 1j*y on one
     shared uniform y.  Each table is then formed once per node offset, 2N-1

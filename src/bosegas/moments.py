@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NearSingularityError, UnsupportedDimensionError
+from .errors import NearSingularityError, NumericsError, UnsupportedDimensionError
 from .kernel import DEFAULT_MIN_SEPARATION, cluster_integrand_batch
 from .partitions import Partition, enumerate_partitions
 from .quadrature import (
@@ -274,11 +274,19 @@ DEFAULT_NESTED_SPACING = 1.5
 
 
 def default_abscissas(n: int, t: float, x):
-    """Descending abscissas DEFAULT_NESTED_SPACING apart, centered on the saddle."""
+    """Descending abscissas DEFAULT_NESTED_SPACING apart, centered on the saddle.
+
+    Raises NumericsError where rounding at the saddle's magnitude leaves two
+    of them no more than 1 apart, as the nested route needs.
+    """
     pts = SpacePoints.of(x)
     raw = [(n - k) * DEFAULT_NESTED_SPACING for k in range(1, n + 1)]
     shift = -(sum(raw) / n + sum(pts.coords) / (n * t))
-    return tuple(r + shift for r in raw)
+    a = tuple(r + shift for r in raw)
+    if not all(a[i] - a[i + 1] > 1.0 for i in range(n - 1)):
+        raise NumericsError(f"default nested abscissas lose their spacing "
+                            f"{DEFAULT_NESTED_SPACING} to rounding at the saddle {shift:.6g}")
+    return a
 
 
 def _nested_integrand(t, x_sorted):

@@ -7,7 +7,7 @@ Gaussian-decaying integrands this package produces.
 Integrands are factored.  f(Z), with Z of shape (lines, N) holding each
 line's nodes, returns one term, a sum over placement orders (Interleavings):
 coef times, summed over the paths of a small state graph, the product of the
-line-pair tables every step of the path multiplies in and, on each line,
+line-pair tables the path's closing steps multiply in and, on each line,
 exp(e) for the exponent row its closing step names.  A single product
 (Interleavings.product) is the one-order case: its lines close last to first.
 
@@ -28,23 +28,23 @@ the tables vetted on their offsets, 2N-1 values each.
 
 The trapezoid sum over the N**lines grid is a recursion over the placement
 states (variable elimination, as in opt_einsum, shared between orders as in
-Held & Karp's subset recursion).  A state's message is a dense array over the lines
-still open once one of them has been summed out, and before that only the
-tables its one path has collected, multiplied together on their offsets when
-they join the same line pair.  A step that closes line k multiplies in line
-k's vector and its tables to the open lines and sums w_k out: a plain sum at
-one line, one convolution of the offset vector with the line's vector at two
-(so a two-line term never forms an N x N array), one N^3 matmul at three and
-one (N^2 x N)(N x N) matmul at four.  Summing a line out of a three-line
-message is N^3 elementwise work and N^2 dot products.  Where a table meets a
-dense message it enters as an (N, N) strided view of its offset vector, one
-view of the whole stack per grid, never as a stored N x N array.  Messages
-reaching the same state are added; a three-line message is pushed on through
-its steps as soon as it is formed, so no array spans four lines.  Both
-four-line steps run in blocks of rows that fit in cache, and every
-elimination of four lines writes into one N^3 array that _sum_orders
-allocates for the term and grid and passes down, so one N^3 array is live at
-a time.  Nothing visits the grid node by node.
+Held & Karp's subset recursion).  A state's message is a dense array over the
+lines still open once one of them has been summed out, and nothing before
+that: a table enters whole, at the step that closes the first of its two
+lines, so no message carries one.  A step that closes line k multiplies in
+line k's vector and its tables to the open lines and sums w_k out: a plain
+sum at one line, one convolution of the offset vector with the line's vector
+at two (so a two-line term never forms an N x N array), one N^3 matmul at
+three and one (N^2 x N)(N x N) matmul at four.  Summing a line out of a
+three-line message is N^3 elementwise work and N^2 dot products.  Where a
+table meets a dense message it enters as an (N, N) strided view of its
+offset vector, one view of the whole stack per grid, never as a stored
+N x N array.  Messages reaching the same state are added; a three-line
+message is pushed on through its steps as soon as it is formed, so no array
+spans four lines.  Both four-line steps run in blocks of rows that fit in
+cache, and every elimination of four lines writes into one N^3 array that
+_sum_orders allocates for the term and grid and passes down, so one N^3
+array is live at a time.  Nothing visits the grid node by node.
 
 Scaling: each line's vectors are exp(1j Im e) * weight * exp(Re e - s_k) with
 s_k the largest Re e over every exponent that line can carry, so a term's
@@ -125,10 +125,10 @@ class QuadratureResult:
 class Placement(NamedTuple):
     """One step of a placement order, into state dst.
 
-    The step multiplies in every table row r in `tables`, each joining
-    `line` to another open line (the term's pairs[r]).  When `closes` is not
-    None the step is the line's last: exp(exponents[line][closes]) goes in
-    and the line is summed out.
+    When `closes` is not None the step is the line's last: exp(exponents[line]
+    [closes]) goes in with every table row r in `tables`, each joining `line`
+    to another open line (the term's pairs[r]), at most one per line pair,
+    and the line is summed out.  A step that closes no line carries no table.
     """
 
     dst: int
@@ -144,10 +144,12 @@ class Interleavings:
     steps[s] holds the Placements out of state s.  Every path starts at
     state 0, steps to higher states only, ends at the last state (which no
     step leaves) and closes each line once.  A state no line has closed at
-    yet must be reached by one path.  exponents holds per line a (rows, N)
-    complex array, one row per way the line can close; tables is the (K, 2N-1)
-    stack of offset vectors, row r the table T[a, b] = tables[r, a - b + N - 1]
-    on the line pair (i, j) = pairs[r], i < j, indexed (node on i, node on j).
+    yet must be reached by one path.  A line pair's table, if it has one,
+    enters at the step that closes the first of its two lines.  exponents
+    holds per line a (rows, N) complex array, one row per way the line can
+    close; tables is the (K, 2N-1) stack of offset vectors, row r the table
+    T[a, b] = tables[r, a - b + N - 1] on the line pair (i, j) = pairs[r],
+    i < j, indexed (node on i, node on j).
     """
 
     steps: tuple
@@ -262,6 +264,20 @@ def _vet_tables(term: Interleavings, Z):
     )
 
 
+def _vet_steps(term: Interleavings):
+    """Refuse a term the recursion would drop a table of: every table a step
+    names must join the step's line to another line, at most one per line
+    pair, on a step that closes the line."""
+    for steps in term.steps:
+        for step in steps:
+            pairs = [term.pairs[r] for r in step.tables]
+            if pairs and (step.closes is None or len(set(pairs)) < len(pairs)
+                          or not all(step.line in pair for pair in pairs)):
+                raise ValueError(
+                    f"a step on line {step.line} into state {step.dst} names tables on "
+                    f"line pairs {pairs}; only a closing step may, one per pair of its line")
+
+
 def _matmul(a, b, out=None):
     """a @ b, written into out if given, bit-identical at any BLAS thread
     count (see _MATMUL_BLOCK).  A longer inner dimension is summed block by
@@ -339,61 +355,46 @@ def _sum_out(core, axis, v, facs, cube):
     return (core * (table if axis == 0 else table.T)).sum(axis=axis)
 
 
-# A message is (open, core, pending): the lines not yet summed out,
-# ascending (core's axes once it exists); core, None until a line is summed
-# out, then an array (a scalar at the end); and pending, line pair (i, j),
-# i < j -> the factor of the tables not yet multiplied into core.  A factor
-# is (g, view): an offset vector and its (N, N) view, oriented (node on i,
-# node on j); reversing g and transposing the view flip it.  Tables of one
-# pair multiply on their offsets, and their product gets a view (None until
-# then) only where it meets a dense message.  A message stored with a core
-# spans at most two lines (three-line ones are pushed on), so a pending
-# table meets it as it is: i on axis 0, j on axis 1.
+# A message is (open, core): the lines not yet summed out, ascending (core's
+# axes once it exists), and core, None until a line is summed out, then an
+# array (a scalar at the end).  Only a step that closes a line carries
+# tables, so a message collects none: the step hands each table straight to
+# the elimination as a factor (g, view), its offset vector and its (N, N)
+# view (None where none was made), oriented (node on the closing line, node
+# on the other); reversing g and transposing the view flip it.
 
 
 def _advance(msg, step, vectors, tables, cube):
-    open_, core, pending = msg
-    k = step.line
-    if step.tables:
-        stack, views, pairs = tables
-        pending = dict(pending)
-        for row in step.tables:
-            pair = pairs[row]
-            old = pending.get(pair)
-            if old is None:
-                pending[pair] = (stack[row], views[row])
-            else:
-                pending[pair] = (old[0] * stack[row], None)
     if step.closes is None:
-        return open_, core, pending
+        return msg
+    open_, core = msg
+    k = step.line
+    stack, views, pairs = tables
     axis = open_.index(k)
     rest = open_[:axis] + open_[axis + 1:]
     v = vectors[k][step.closes]
-    facs = []
-    for u in rest:
-        fac = pending.get((k, u) if k < u else (u, k))
-        if fac is None:  # a line pair without a table contributes 1
-            fac = (np.ones(2 * v.size - 1), None)
-        g, view = fac
-        facs.append(fac if k < u else (g[::-1], None if view is None else view.T))
-    core = _sum_out(core, axis, v, facs, cube)
-    if pending:
-        pending = {pair: fac for pair, fac in pending.items() if k not in pair}
-    return rest, core, pending
+    facs = [None] * len(rest)
+    for r in step.tables:
+        i, j = pairs[r]
+        if i == k:
+            facs[rest.index(j)] = (stack[r], views[r])
+        else:
+            facs[rest.index(i)] = (stack[r][::-1], None if views[r] is None else views[r].T)
+    if None in facs:  # a line pair without a table contributes 1
+        ones = (np.ones(2 * v.size - 1), None)
+        facs = [ones if fac is None else fac for fac in facs]
+    return rest, _sum_out(core, axis, v, facs, cube)
 
 
 def _deposit(acc, state, msg):
-    """Add a message into the state's sum, its pending tables multiplied in."""
-    open_, core, pending = msg
-    if core is None:
-        if state in acc:
-            raise ValueError(f"state {state} is reached by two paths before any line closes")
-        acc[state] = msg
-        return
-    for fac in pending.values():
-        core = core * _square(fac)
+    """Add a message into the state's sum."""
     prev = acc.get(state)
-    acc[state] = (open_, core if prev is None else prev[1] + core, {})
+    if prev is None:
+        acc[state] = msg
+    elif msg[1] is None:
+        raise ValueError(f"state {state} is reached by two paths before any line closes")
+    else:
+        acc[state] = (msg[0], prev[1] + msg[1])
 
 
 def _push(steps, msg, ctx):
@@ -412,7 +413,7 @@ def _push(steps, msg, ctx):
 
 def _sum_orders(term: Interleavings, vectors, tables):
     """The term's sum over placement orders on one grid, before coef."""
-    acc = {0: (tuple(range(len(term.exponents))), None, {})}
+    acc = {0: (tuple(range(len(term.exponents))), None)}
     # every table's (N, N) view, made once per grid; at one or two lines no
     # table meets a dense message, so none is needed
     views = _toeplitz_table(tables) if len(term.exponents) > 2 else (None,) * len(tables)
@@ -444,6 +445,7 @@ def _trapezoid_sums(f, plan: ContourPlan, num_lines: int, re_parts):
     if term.tables.shape != (len(term.pairs), offsets):
         raise ValueError(f"integrand tables must be one offset vector per line pair, "
                          f"shape {(len(term.pairs), offsets)}, got {term.tables.shape}")
+    _vet_steps(term)
     vectors, log = _line_vectors(term.exponents, w, Z)
     _vet_tables(term, Z)
     full = _sum_orders(term, vectors, term.tables)

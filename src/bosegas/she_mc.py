@@ -25,6 +25,8 @@ the number of workers.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,11 +170,6 @@ def _run_on_cores(items: int, new_state, run) -> None:
     worker w takes i = w, w + W, w + 2W, ..., and this thread is worker 0.
     Each worker makes its own state with new_state().  The first error a
     worker raises is raised here once every worker has finished."""
-    # imported on use: bound at module level, these names made unrelated
-    # benchmark ops (asymptotics) ~10% slower in repeated A/B runs
-    import os
-    import threading
-
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform

@@ -158,6 +158,16 @@ def test_verify_single_suite_passes(capsys):
     assert lines[-1] == "OK: 1/1 checks passed"
 
 
+def test_verify_mc_suite_passes_at_the_benchmark_seed(capsys):
+    # the one suite `verify` skips unless asked; seed 1729 is acceptance
+    # criterion 8's, where the estimate sits well inside 3 standard errors
+    rc, out = run(capsys, ["verify", "--suite", "mc", "--seed", "1729"])
+    assert rc == 0
+    lines = out.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("PASS mc n=1:")
+    assert lines[-1] == "OK: 1/1 checks passed"
+
+
 def test_verify_reports_failure_with_exit_1(capsys, monkeypatch):
     import bosegas.cli as cli
 
@@ -292,6 +302,11 @@ def test_usage_error_leaves_the_parser_unchanged(capsys, bad):
      "--epsilon must lie strictly between 0 and 1/(n-1) = 0.5 at n=3, got 0.9"),
     (["verify", "--suite", "mc", "--seed", "-1"],
      "argument --seed: must be an integer >= 0, got '-1'"),
+    # read as negative numbers, not options, and refused as the positive forms are
+    (["moment", "--t", "1.0", "--x", "0", "-inf"], "argument --x: must be finite, got '-inf'"),
+    (["moment", "--t", "1.0", "--n", "2", "--theta", "-inf"],
+     "argument --theta: must be finite, got '-inf'"),
+    (["moment", "--t", "1.0", "--x", "0", "-nan"], "argument --x: must be finite, got '-nan'"),
 ])
 def test_bad_values_are_usage_errors(capsys, argv, message):
     # refused by the parser with exit 2 and one message, not a traceback
@@ -312,20 +327,23 @@ def test_negative_values_in_exponent_form_are_numbers(capsys):
     assert run(capsys, ["moment", "--t", "1", "--n", "2", "--theta", "-1e-3"])[0] == 0
 
 
-@pytest.mark.parametrize("argv", [
-    ["moment", "--t", "1", "--x", "1e200"],
-    ["moment", "--t", "1", "--x", "1e200", "--route", "nested"],
-    ["moment", "--t", "1", "--n", "3", "--theta", "1e300"],
-])
-def test_overflowing_integrand_is_one_error_line(capsys, argv):
-    # the overflow is reported once, as the error naming its line and node,
+@pytest.mark.parametrize("argv,message", [
+    (["moment", "--t", "1", "--x", "1e200"], "integrand factor not finite"),
+    (["moment", "--t", "1", "--x", "1e200", "--route", "nested"], "integrand factor not finite"),
+    (["moment", "--t", "1", "--n", "3", "--theta", "1e300"], "integrand factor not finite"),
+    # points so far apart that the default nested abscissas round together
+    (["moment", "--t", "1", "--x", "0", "1e200", "--route", "nested"],
+     "default nested abscissas lose their spacing"),
+], ids=[f"argv{i}" for i in range(4)])
+def test_overflowing_integrand_is_one_error_line(capsys, argv, message):
+    # the overflow is reported once, as the error naming where it happened,
     # with no numpy warning ahead of it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: integrand factor not finite")
+    assert captured.err.startswith(f"error: {message}")
     assert captured.err.count("\n") == 1
 
 

@@ -19,6 +19,7 @@ from bosegas.errors import NearSingularityError, NumericsError
 import bosegas.quadrature as quadrature
 from bosegas.kernel import _clustered_terms, _placements, cluster_integrand_batch
 from bosegas.moments import (
+    MAX_TOP_SIZE,
     MomentRequest,
     _nested_integrand,
     auto_cluster_plan,
@@ -28,8 +29,10 @@ from bosegas.moments import (
 )
 from bosegas.partitions import Partition, enumerate_partitions
 from bosegas.quadrature import (
+    MAX_LINES,
     ContourPlan,
     Interleavings,
+    Placement,
     _grid_1d,
     _trapezoid_sums,
     check_grid_size,
@@ -415,6 +418,69 @@ def test_cluster_table_pairs_name_the_lines_of_every_factor(p):
         assert cauchy is None or cauchy == pair
     assert {pair for *_, pair in graph.tables if pair is not None} == set(
         itertools.combinations(range(p.length), 2))
+
+
+PLACEMENT_GRAPHS = [p for n in range(1, MAX_TOP_SIZE + 1) for p in enumerate_partitions(n)
+                    if p.length <= MAX_LINES]
+
+
+def test_each_line_pair_table_enters_once_as_its_first_line_closes():
+    # on every graph cluster_integral accepts, a step that closes line k
+    # carries exactly one table per other open line, holding all
+    # lambda_k * lambda_u cross ratios, and no other step carries one.  Each
+    # state is reached with one set of open lines, so checking every step
+    # against its state's set checks every path: each line pair's table
+    # enters once, at the closing step of the first of its two lines.
+    assert len(PLACEMENT_GRAPHS) == 70
+    for p in PLACEMENT_GRAPHS:
+        graph = _placements(p.parts)
+        open_at = {0: frozenset(range(p.length))}
+        for state, steps in enumerate(graph.steps):
+            for step in steps:
+                k, lines = step.line, open_at[state]
+                pairs = sorted(graph.pairs[r] for r in step.tables)
+                if step.closes is None:
+                    assert not pairs, (p, state, step)
+                else:
+                    assert pairs == [(min(k, u), max(k, u)) for u in sorted(lines - {k})], \
+                        (p, state, step)
+                    lines = lines - {k}
+                for r in step.tables:
+                    i, j = graph.pairs[r]
+                    assert len(graph.tables[r][0]) == p.parts[i] * p.parts[j], (p, r)
+                assert open_at.setdefault(step.dst, lines) == lines, (p, state, step)
+        assert open_at[len(graph.steps) - 1] == frozenset(), p
+
+
+# (pairs, steps out of each state) of two- and three-line terms whose
+# recursion would drop a table
+DROPPED_TABLES = {
+    "table on a step closing no line": (((0, 1),), (
+        (Placement(1, 1, (0,)),), (Placement(2, 1, closes=0),), (Placement(3, 0, closes=0),),
+        ())),
+    "two tables for one line pair": (((0, 1), (0, 1)), (
+        (Placement(1, 1, (0, 1), 0),), (Placement(2, 0, closes=0),), ())),
+    "table off the closing line": (((0, 1),), (
+        (Placement(1, 2, (0,), 0),), (Placement(2, 1, closes=0),), (Placement(3, 0, closes=0),),
+        ())),
+}
+
+
+@pytest.mark.parametrize("case", DROPPED_TABLES)
+def test_tables_the_recursion_would_drop_refused_before_any_sum(monkeypatch, case):
+    sums = []
+    monkeypatch.setattr(quadrature, "_sum_orders", lambda *args: sums.append(args))
+    n, (pairs, steps) = 7, DROPPED_TABLES[case]
+    lines = 1 + max(step.line for out in steps for step in out)
+
+    def f(Z):
+        exponents = tuple((0.5 * z * z)[None, :] for z in Z)
+        return Interleavings(steps, exponents, np.ones((len(pairs), 2 * n - 1)), pairs)
+
+    plan = ContourPlan(theta=0.0, epsilon=0.1, half_width=2.0, nodes_per_line=n)
+    with pytest.raises(ValueError, match="only a closing step may"):
+        integrate_tensor(f, plan, lines)
+    assert not sums
 
 
 @pytest.mark.parametrize("extra", [-1, 1])
