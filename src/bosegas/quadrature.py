@@ -36,15 +36,17 @@ line k's vector and its tables to the open lines and sums w_k out: a plain
 sum at one line, one convolution of the offset vector with the line's vector
 at two (so a two-line term never forms an N x N array), one N^3 matmul at
 three and one (N^2 x N)(N x N) matmul at four.  Summing a line out of a
-three-line message is N^3 elementwise work and N^2 dot products.  Where a
+three-line message is N^3 elementwise work, then N^2 dot products, or a
+sum over rows when the summed line is the one the blocks run over.  Where a
 table meets a dense message it enters as an (N, N) strided view of its
 offset vector, one view of the whole stack per grid, never as a stored
-N x N array.  Messages reaching the same state are added; a three-line
-message is pushed on through its steps as soon as it is formed, so no array
-spans four lines.  Both four-line steps run in blocks of rows that fit in
-cache, and every elimination of four lines writes into one N^3 array that
-_sum_orders allocates for the term and grid and passes down, so one N^3
-array is live at a time.  Nothing visits the grid node by node.
+N x N array.  Messages reaching the same state are added, except that no
+three-line message is ever held whole: the step that closes one of four
+open lines forms its N^3 result in blocks of rows that fit in cache, and
+hands each block at once to every closing step out of the state it
+reaches (through any steps that close no line), each of which adds the
+block's share into its N x N message.  So no array spans three lines.
+Nothing visits the grid node by node.
 
 Scaling: each line's vectors are exp(1j Im e) * weight * exp(Re e - s_k) with
 s_k the largest Re e over every exponent that line can carry, so a term's
@@ -74,10 +76,10 @@ from .scaled import ScaledComplex, rel_diff
 
 _TWO_PI = 2.0 * math.pi
 MAX_LINES = 4
-# Largest array the recursion allocates, in complex values: N^3 at four
-# lines (the one array every four-line elimination of a term and grid is
-# passed), N^2 messages and expanded tables at three.  Plans of two lines are
-# held to the N^2 limit too.
+# Largest message a plan may imply, in complex values: N^3 at four lines,
+# N^2 at three.  The N^3 message is streamed in blocks of rows, never stored,
+# so it bounds work there, not memory.  Plans of two lines are held to the
+# N^2 limit too.
 MAX_ARRAY_VALUES = 1 << 24
 # Longest inner dimension handed to one BLAS matmul.  Past 128, OpenBLAS
 # (0.3.31) splits the inner sum differently at different thread counts, which
@@ -218,14 +220,26 @@ def _square(fac):
     return _toeplitz_table(g) if view is None else view
 
 
+def _count(v: int) -> str:
+    """An integer as is up to the array limit, beyond it to four significant
+    digits, d.ddde+x, rounded in integers (it may be too large for a float)."""
+    if v <= MAX_ARRAY_VALUES:
+        return str(v)
+    digits = str(round(v, 4 - len(str(v))))
+    return f"{digits[0]}.{digits[1:4]}e+{len(digits) - 1}"
+
+
 def check_grid_size(plan: ContourPlan, num_lines: int):
-    """Raise NumericsError if contracting num_lines lines of this plan would
-    allocate an array beyond MAX_ARRAY_VALUES."""
+    """Raise NumericsError if the largest message of num_lines lines on this
+    plan, N^(lines-1) complex values (N^2 tables at two), would exceed
+    MAX_ARRAY_VALUES.  At four lines that N^3 message is streamed in blocks,
+    never allocated, but the rule bounds its work all the same."""
     largest = plan.nodes_per_line ** max(2, num_lines - 1)
     if largest > MAX_ARRAY_VALUES:
         raise NumericsError(
-            f"{num_lines} lines of {plan.nodes_per_line} nodes need an array of {largest} "
-            f"complex values, beyond the limit {MAX_ARRAY_VALUES}; shrink the plan"
+            f"{num_lines} lines of {_count(plan.nodes_per_line)} nodes need an array of "
+            f"{_count(largest)} complex values, beyond the limit {MAX_ARRAY_VALUES}; "
+            f"shrink the plan"
         )
 
 
@@ -295,62 +309,87 @@ def _matmul(a, b, out=None):
     return out
 
 
-def _eliminate_four(v, facs, cube):
-    """cube[a, b, c] = sum_d v[d] F0[d, a] F1[d, b] F2[d, c], in blocks of
-    rows a (see _BLOCK_VALUES): each block's left factor is built in one
-    scratch array and its product written into the (N, N, N) array cube."""
+def _block_rows(n):
+    """Rows of N x N in one block of a four-line term's sums (see _BLOCK_VALUES)."""
+    return max(1, _BLOCK_VALUES // (n * n))
+
+
+def _eliminate_four(v, facs, sinks):
+    """Stream m[a, b, c] = sum_d v[d] F0[d, a] F1[d, b] F2[d, c] in blocks of
+    rows a: each block's left factor is built in one scratch array, its
+    product written into one block array and handed to every sink as
+    sink(a, block, scratch) before the next block is formed.  A sink may
+    overwrite scratch.  No (N, N, N) array is formed."""
     n = v.size
     left = np.multiply(_square(facs[0]).T, v, order="C")  # v[d] F0[d, a] on (a, d)
     mid = np.ascontiguousarray(_square(facs[1]).T)
     right = np.ascontiguousarray(_square(facs[2]))
-    rows = max(1, _BLOCK_VALUES // (n * n))
-    scratch = np.empty((rows, n, n), dtype=complex)
+    rows = _block_rows(n)
+    # one allocation for both: glibc's malloc raises its mmap and trim
+    # thresholds to the largest mapped block freed, and at this size they
+    # cover a term's arrays, which then stay on the heap between terms
+    # instead of being returned and faulted in again
+    scratch, blocks = np.empty((2, rows, n, n), dtype=complex)
     for a in range(0, n, rows):
         b = min(a + rows, n)
-        lhs = scratch[:b - a]
+        lhs, block = scratch[:b - a], blocks[:b - a]
         np.multiply(left[a:b, None, :], mid, out=lhs)
-        _matmul(lhs.reshape(-1, n), right, out=cube[a:b].reshape(-1, n))
-    return cube
+        _matmul(lhs.reshape(-1, n), right, out=block.reshape(-1, n))
+        for sink in sinks:
+            sink(a, block, scratch)
 
 
-def _eliminate_three(core, axis, v, facs):
-    """out[p, q] = sum_k core[.., k, ..] v[k] F0[k, p] F1[k, q], k on `axis`,
-    in blocks of rows p: the far table F1 goes in first, with k last, then
-    each (p, q) is one contiguous dot over k with v F0.  np.vecdot sums it
-    in the same order at any BLAS thread count."""
+def _three_line_sink(axis, v, facs):
+    """Sum line k, on `axis`, out of a three-line message m that arrives in
+    blocks of rows on axis 0: out[p, q] = sum_k m[.., k, ..] v[k] F0[k, p]
+    F1[k, q].  Returns out, complete once every block is taken, and
+    take(a, block, scratch), which takes the block of rows a.. .
+
+    Off axis 0 a block holds rows p of out: the far table F1 goes in first,
+    with k last, then each (p, q) is one contiguous dot over k with v F0.
+    On axis 0 it holds rows k: their terms are formed by elementwise
+    products and added over k by np.add.reduce, block after block.  Neither
+    sum calls a BLAS product (np.vecdot sums in the same order at any BLAS
+    thread count)."""
     n = v.size
-    msg = core.transpose([a for a in range(3) if a != axis] + [axis])
-    near = np.conj(_square(facs[0]).T * v, order="C")  # vecdot conjugates it back
-    far = np.ascontiguousarray(_square(facs[1]).T)
-    out = np.empty((n, n), dtype=complex)
-    rows = max(1, _BLOCK_VALUES // (n * n))
-    scratch = np.empty((rows, n, n), dtype=complex)
-    for p in range(0, n, rows):
-        q = min(p + rows, n)
-        prod = scratch[:q - p]
-        np.multiply(msg[p:q], far, out=prod)
-        np.vecdot(near[p:q, None, :], prod, out=out[p:q])
-    return out
+    out = np.zeros((n, n), dtype=complex)
+    if axis == 0:
+        near = _square(facs[0]) * v[:, None]  # v[k] F0[k, p] on (k, p)
+        far = np.ascontiguousarray(_square(facs[1]))
+
+        def take(a, block, scratch):
+            b = a + len(block)
+            prod = scratch[:b - a]
+            np.multiply(block, near[a:b, :, None], out=prod)
+            prod *= far[a:b, None, :]
+            out[...] += np.add.reduce(prod, axis=0)
+    else:
+        near = np.conj(_square(facs[0]).T * v, order="C")  # vecdot conjugates it back
+        far = np.ascontiguousarray(_square(facs[1]).T)
+        order = (0, 3 - axis, axis)  # (p, q, k)
+
+        def take(a, block, scratch):
+            b = a + len(block)
+            prod = scratch[:b - a]
+            np.multiply(block.transpose(order), far, out=prod)
+            np.vecdot(near[a:b, None, :], prod, out=out[a:b])
+    return out, take
 
 
-def _sum_out(core, axis, v, facs, cube):
-    """Sum line k out of a message.  core spans the open lines with k on
-    `axis` (None: no line summed out yet); v is line k's vector and facs its
-    tables to the other open lines, in line order, each a factor oriented
-    (node on k, node on u).  Returns the message over the other open lines;
-    one over three lines is written into the (N, N, N) array cube."""
+def _sum_out(core, axis, v, facs):
+    """Sum line k out of a message over at most three open lines.  core
+    spans the open lines with k on `axis` (None: no line summed out yet); v
+    is line k's vector and facs its tables to the other open lines, in line
+    order, each a factor oriented (node on k, node on u).  Returns the
+    message over the other open lines."""
     if core is None:
         if not facs:
             return complex(v.sum())
         if len(facs) == 1:  # out[b] = sum_a v[a] g[a - b + N - 1]
             return np.convolve(facs[0][0][::-1], v, "valid")
-        if len(facs) == 3:
-            return _eliminate_four(v, facs, cube)
         return _matmul((_square(facs[0]) * v[:, None]).T, _square(facs[1]))
     if core.ndim == 1:
         return complex(core @ v)
-    if core.ndim == 3:
-        return _eliminate_three(core, axis, v, facs)
     table = _square(facs[0]) * v[:, None]  # (node on k, node on u)
     return (core * (table if axis == 0 else table.T)).sum(axis=axis)
 
@@ -361,13 +400,14 @@ def _sum_out(core, axis, v, facs, cube):
 # tables, so a message collects none: the step hands each table straight to
 # the elimination as a factor (g, view), its offset vector and its (N, N)
 # view (None where none was made), oriented (node on the closing line, node
-# on the other); reversing g and transposing the view flip it.
+# on the other); reversing g and transposing the view flip it.  A message
+# over three lines is never held whole: it exists only as the blocks that
+# _stream_four hands on.
 
 
-def _advance(msg, step, vectors, tables, cube):
-    if step.closes is None:
-        return msg
-    open_, core = msg
+def _operands(open_, step, vectors, tables):
+    """A closing step's operands: the position of its line in open_, the
+    lines left open, the line's vector and its factors to those lines."""
     k = step.line
     stack, views, pairs = tables
     axis = open_.index(k)
@@ -383,7 +423,14 @@ def _advance(msg, step, vectors, tables, cube):
     if None in facs:  # a line pair without a table contributes 1
         ones = (np.ones(2 * v.size - 1), None)
         facs = [ones if fac is None else fac for fac in facs]
-    return rest, _sum_out(core, axis, v, facs, cube)
+    return axis, rest, v, facs
+
+
+def _advance(msg, step, vectors, tables):
+    if step.closes is None:
+        return msg
+    axis, rest, v, facs = _operands(msg[0], step, vectors, tables)
+    return rest, _sum_out(msg[1], axis, v, facs)
 
 
 def _deposit(acc, state, msg):
@@ -398,17 +445,42 @@ def _deposit(acc, state, msg):
 
 
 def _push(steps, msg, ctx):
-    """Send a message along the given steps.  A message over three open
-    lines is pushed on at once, never stored; any other is added into its
-    state's sum.  Each new message dies before the next step's arrays exist."""
-    all_steps, acc, vectors, tables, cube = ctx
+    """Send a message along the given steps, adding each result into its
+    state's sum; a step that closes one of four open lines streams its
+    result (see _stream_four)."""
+    all_steps, acc, vectors, tables = ctx
     for step in steps:
-        nxt = _advance(msg, step, vectors, tables, cube)
-        if len(nxt[0]) == 3 and nxt[1] is not None:
-            _push(all_steps[step.dst], nxt, ctx)
+        if step.closes is not None and len(msg[0]) == 4:
+            _stream_four(msg[0], step, ctx)
         else:
-            _deposit(acc, step.dst, nxt)
-        del nxt
+            _deposit(acc, step.dst, _advance(msg, step, vectors, tables))
+
+
+def _stream_four(open_, step, ctx):
+    """Close one of four open lines.  Its three-line result is formed block
+    by block, and each block goes at once to every closing step out of the
+    state it reaches, passed on through steps that close no line; their
+    two-line messages are added into their states' sums after the last
+    block, in the order the steps are listed."""
+    all_steps, acc, vectors, tables = ctx
+    _, rest, v, facs = _operands(open_, step, vectors, tables)
+    sinks = []
+    _gather_sinks(all_steps[step.dst], rest, ctx, sinks)
+    _eliminate_four(v, facs, [take for *_, take in sinks])
+    for dst, lines, out, _ in sinks:
+        _deposit(acc, dst, (lines, out))
+
+
+def _gather_sinks(steps, open_, ctx, sinks):
+    """Append (state, open lines, message, take) for every closing step
+    reached from `steps` through steps that close no line."""
+    all_steps, _, vectors, tables = ctx
+    for step in steps:
+        if step.closes is None:
+            _gather_sinks(all_steps[step.dst], open_, ctx, sinks)
+        else:
+            axis, rest, v, facs = _operands(open_, step, vectors, tables)
+            sinks.append((step.dst, rest, *_three_line_sink(axis, v, facs)))
 
 
 def _sum_orders(term: Interleavings, vectors, tables):
@@ -417,12 +489,7 @@ def _sum_orders(term: Interleavings, vectors, tables):
     # every table's (N, N) view, made once per grid; at one or two lines no
     # table meets a dense message, so none is needed
     views = _toeplitz_table(tables) if len(term.exponents) > 2 else (None,) * len(tables)
-    # every four-line elimination writes into this one array: each
-    # three-line message is pushed on before the next elimination
-    cube = None
-    if len(term.exponents) == 4:
-        cube = np.empty((vectors[0].shape[1],) * 3, dtype=complex)
-    ctx = (term.steps, acc, vectors, (tables, views, term.pairs), cube)
+    ctx = (term.steps, acc, vectors, (tables, views, term.pairs))
     last = len(term.steps) - 1
     for state in range(last):
         msg = acc.pop(state, None)

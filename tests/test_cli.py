@@ -196,6 +196,17 @@ def test_oversize_grid_exits_1_at_once(capsys):
     assert "beyond the limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["moment", "--t", "1e-300", "--n", "2"],
+    ["moment", "--t", "1", "--n", "2", "--half-width", "1e300"],
+])
+def test_oversize_grid_refusal_is_one_short_line(capsys, argv):
+    # node counts of 150 digits and more are printed in %.4g form
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and len(err[0]) <= 200 and "beyond the limit" in err[0]
+
+
 def test_exit_code_3_for_oversize_requests(capsys):
     assert main(["moment", "--t", "1.0", "--n", "5"]) == 3
     assert main(["moment", "--t", "1.0", "--n", "5", "--route", "nested"]) == 3

@@ -24,6 +24,7 @@ from bosegas.moments import (
     _nested_integrand,
     auto_cluster_plan,
     auto_nested_plan,
+    cluster_breakdown,
     default_abscissas,
     moment_nested_contours,
 )
@@ -529,27 +530,30 @@ def test_four_singletons_take_four_four_line_eliminations(monkeypatch):
     graph = _placements((1, 1, 1, 1))
     assert len(graph.steps) == 16 and sum(map(len, graph.steps)) == 32
     calls = []
-    inner = quadrature._sum_out
+    four, three, two = quadrature._eliminate_four, quadrature._three_line_sink, quadrature._sum_out
 
-    def counted(core, axis, v, facs, cube):
-        calls.append((None if core is None else core.ndim, len(facs)))
-        return inner(core, axis, v, facs, cube)
+    def count(name, inner):
+        def counted(*args):
+            calls.append(name)
+            return inner(*args)
+        return counted
 
-    monkeypatch.setattr(quadrature, "_sum_out", counted)
+    monkeypatch.setattr(quadrature, "_eliminate_four", count("four", four))
+    monkeypatch.setattr(quadrature, "_three_line_sink", count("three", three))
+    monkeypatch.setattr(quadrature, "_sum_out", count("fewer", two))
     p = Partition((1, 1, 1, 1))
     plan = auto_cluster_plan(ORACLE_T, p, ORACLE_X, nodes=11)
     integrate_tensor(cluster_integrand_batch(ORACLE_T, ORACLE_X, p), plan, 4)
-    assert calls.count((None, 3)) == 2 * 4  # full grid and coarse grid
-    assert calls.count((3, 2)) == 2 * 12
-    assert not any(ndim is not None and ndim > 3 for ndim, _ in calls)
+    assert calls.count("four") == 2 * 4  # full grid and coarse grid
+    assert calls.count("three") == 2 * 12
+    assert calls.count("fewer") == 2 * (12 + 4)  # two-line and one-line sum-outs
 
 
 @pytest.mark.parametrize("route", ["partition", "nested"])
-def test_four_line_recursion_keeps_one_cube_live(route):
-    # a three-line message is pushed on as soon as it is formed, and every
-    # four-line elimination of a term and grid writes into one N^3
-    # array in cache-sized blocks: the peak is that array plus blocks and
-    # N^2 tables, not one N^3 array per open state
+def test_four_line_recursion_forms_no_cube(route):
+    # every four-line elimination is streamed in cache-sized blocks of rows
+    # through the three-line sum-outs that consume it: the peak is blocks
+    # and N^2 tables and messages, well below one N^3 array
     n, x = 61, ORACLE_X
     p = Partition((1, 1, 1, 1))
     if route == "partition":
@@ -566,7 +570,24 @@ def test_four_line_recursion_keeps_one_cube_live(route):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * n**3 * 16
+    assert peak < 0.6 * n**3 * 16
+
+
+@pytest.mark.parametrize("case", ["partition", "nested"])
+def test_default_four_point_plans_stay_small(case):
+    # at t = 1 the default plans take N = 69 (1+1+1+1) and N = 95 (nested),
+    # whose N^3 messages alone would be 5.3 and 13.7 MB
+    req = MomentRequest(1.0, (0.0,) * 4)
+    run, limit = {"partition": (cluster_breakdown, 4e6),
+                  "nested": (moment_nested_contours, 3e6)}[case]
+    run(req)  # caches filled outside the measurement
+    tracemalloc.start()
+    try:
+        run(req)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit
 
 
 def _factor(n, rng, flip):
@@ -579,57 +600,60 @@ def _factor(n, rng, flip):
 
 # 41 nodes: blocks of 9 rows, the last one ragged (5 rows)
 STREAM_N = 41
+SUM_OUT_SPECS = {0: "kpq", 1: "pkq", 2: "pqk"}
+
+
+def _sum_out_oracle(core, axis, v, facs):
+    near, far = (np.array(quadrature._square(f)) for f in facs)
+    return np.einsum(f"{SUM_OUT_SPECS[axis]},k,kp,kq->pq", core, v, near, far)
 
 
 @pytest.mark.parametrize("flips", [(False, False, False), (True, False, True),
                                    (False, True, False)])
 def test_four_line_elimination_matches_dense_formula(flips):
+    # the streamed blocks, in order, make up the dense four-line result, and
+    # sum-outs on every axis that take them together, sharing the scratch
+    # array, each match the dense formula on it
     n = STREAM_N
+    assert quadrature._block_rows(n) == 9
     rng = np.random.default_rng(41)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     facs = [_factor(n, rng, flip) for flip in flips]
     dense = [np.array(quadrature._square(f)) for f in facs]
     want = np.einsum("d,da,db,dc->abc", v, *dense)
-    cube = np.empty((n, n, n), dtype=complex)
-    got = quadrature._sum_out(None, None, v, facs, cube)
-    assert got is cube
+    blocks = []
+    consumers = []
+    for axis in range(3):
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        sink_facs = [_factor(n, rng, flip) for flip in flips[:2]]
+        consumers.append((_sum_out_oracle(want, axis, u, sink_facs),
+                          *quadrature._three_line_sink(axis, u, sink_facs)))
+    sinks = [lambda a, block, scratch: blocks.append((a, block.copy()))]
+    quadrature._eliminate_four(v, facs, sinks + [take for *_, take in consumers])
+    assert [a for a, _ in blocks] == [0, 9, 18, 27, 36] and len(blocks[-1][1]) == 5
+    got = np.concatenate([block for _, block in blocks])
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    for expect, out, _ in consumers:
+        assert np.abs(out - expect).max() <= 1e-14 * np.abs(expect).max()
 
 
 @pytest.mark.parametrize("axis", [0, 1, 2])
 @pytest.mark.parametrize("flips", [(False, False), (True, False), (False, True)])
 def test_three_line_sum_out_matches_dense_formula(axis, flips):
+    # a three-line message taken in the blocks of rows the four-line
+    # elimination streams, the last one ragged
     n = STREAM_N
     rng = np.random.default_rng(axis)
     core = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     facs = [_factor(n, rng, flip) for flip in flips]
-    near, far = (np.array(quadrature._square(f)) for f in facs)
-    spec = {0: "kpq", 1: "pkq", 2: "pqk"}[axis]
-    want = np.einsum(f"{spec},k,kp,kq->pq", core, v, near, far)
-    got = quadrature._sum_out(core, axis, v, facs, None)
+    want = _sum_out_oracle(core, axis, v, facs)
+    rows = quadrature._block_rows(n)
+    scratch = np.empty((rows, n, n), dtype=complex)
+    got, take = quadrature._three_line_sink(axis, v, facs)
+    for a in range(0, n, rows):
+        take(a, core[a:a + rows], scratch)
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-
-
-def test_four_line_eliminations_share_one_lent_cube(monkeypatch):
-    # within one term and grid every four-line elimination writes into the
-    # same array
-    cubes = []
-    inner = quadrature._sum_out
-
-    def spy(core, axis, v, facs, cube):
-        out = inner(core, axis, v, facs, cube)
-        if core is None and len(facs) == 3:
-            cubes.append(out)
-        return out
-
-    monkeypatch.setattr(quadrature, "_sum_out", spy)
-    p = Partition((1, 1, 1, 1))
-    plan = auto_cluster_plan(ORACLE_T, p, ORACLE_X, nodes=11)
-    integrate_tensor(cluster_integrand_batch(ORACLE_T, ORACLE_X, p), plan, 4)
-    full, coarse = cubes[:4], cubes[4:]
-    assert len(coarse) == 4
-    assert all(c is full[0] for c in full) and all(c is coarse[0] for c in coarse)
 
 
 def test_two_line_term_never_forms_a_square_table():
@@ -689,6 +713,10 @@ req = MomentRequest(1.0, (0.0,) * 4)
 show(combine_results(r for _, r in cluster_breakdown(req, nodes=35)))
 show(moment_nested_contours(req, nodes=53, half_width=6.5))
 main(["asymptotic-table", "--n", "2", "--t-list", "5"])
+# the default n = 4 plans (N = 69 and 95), whose four-line sums run in 23
+# blocks of 3 rows and 95 blocks of 1 row, every term's bits printed
+main(["moment", "--t", "1", "--n", "4"])
+main(["moment", "--t", "1", "--n", "4", "--route", "nested"])
 """
 
 
@@ -703,5 +731,5 @@ def test_blas_thread_count_invariance():
         proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
                               capture_output=True, text=True, timeout=300, check=True)
         outs.append(proc.stdout)
-    assert len(outs[0].splitlines()) == 8
+    assert len(outs[0].splitlines()) == 8 + 7 + 2
     assert outs[0] == outs[1]  # bit-identical, not approximately equal
