@@ -42,7 +42,7 @@ from .moments import (
     top_cluster_integral,
     two_point_moment,
 )
-from .partitions import Partition, cluster_expand, enumerate_partitions, multiplicity_constant
+from .partitions import Partition, cluster_expand, enumerate_partitions
 from .quadrature import (
     ContourPlan,
     Interleavings,
@@ -114,7 +114,6 @@ __all__ = [
     "min_envelope_exponent",
     "moment_nested_contours",
     "moment_partition_sum",
-    "multiplicity_constant",
     "optimal_theta",
     "permutation_kernel",
     "rel_diff",

@@ -350,16 +350,19 @@ def _placements(parts: tuple[int, ...]) -> _Placements:
     by which of its two coordinates takes the later position: u's where u
     placed it before k placed its own, and k's otherwise, as u's unplaced
     coordinates take earlier positions still.  So each line pair's table
-    enters once, whole, at the closing step of the first of its two lines,
-    and no other step carries a table.  Once one cluster is left open, its
-    remaining coordinates take the remaining positions in one step.
+    enters once, whole, at the closing step of the first of its two lines.
 
-    The states are the prod(lambda_k + 1) counts of unplaced coordinates,
-    told apart further by the positions a partly placed cluster took, so
-    that each line's exponent is formed whole, once per assignment.  A
-    cluster of one coordinate closes as soon as it is placed: for
-    all-singleton partitions the states are exactly the 2**l subsets of
-    open clusters.
+    Placing a coordinate that closes no line sums nothing out, so the graph
+    keeps only the closing steps, each recorded under its anchor: the start,
+    or the last state a line closed into on the way, where its message sits.
+    The anchor is unique, as a state reached without closing a line has one
+    predecessor: the cluster holding the lowest placed position loses it.
+    The graph's states are then the start and every state a line closes
+    into, told apart by the positions each partly placed cluster took, so
+    that each line's exponent is formed whole, once per assignment.  The
+    last of them is the one where every line has closed.  A cluster of one
+    coordinate closes as soon as it is placed: for all-singleton partitions
+    the states are exactly the 2**l subsets of open clusters.
 
     Placements name tables by row, in the order first met, one row per
     distinct (k, u, cross keys), and closings by exponent row, the line's
@@ -368,8 +371,9 @@ def _placements(parts: tuple[int, ...]) -> _Placements:
     every table with a few array operations.
     """
     ell = len(parts)
-    start, final = ((),) * ell, (None,) * ell
-    moves = {start: []}  # state -> its (dst, line, tables, closes), states in order reached
+    start = ((),) * ell
+    moves = {start: []}  # graph state -> its (dst, line, tables, taken), in order reached
+    anchor = {start: start}  # every state -> the graph state its message sits at
     level = [start]
     closings = [set() for _ in parts]
     factors = {}
@@ -377,43 +381,42 @@ def _placements(parts: tuple[int, ...]) -> _Placements:
         nxt = []
         for key in level:
             open_ = [u for u in range(ell) if key[u] is not None]
-            if len(open_) == 1:  # the last open cluster takes the remaining positions
-                (k,) = open_
-                taken = key[k] + tuple(range(p, -1, -1))
-                closings[k].add(taken)
-                moves[key].append((final, k, (), taken))
-                continue
             for k in open_:
                 taken = key[k] + (p,)
-                closes = taken if len(taken) == parts[k] else None
+                if len(taken) < parts[k]:
+                    # k keeps the lowest placed position, p, so key is this
+                    # state's one predecessor
+                    dst = key[:k] + (taken,) + key[k + 1:]
+                    anchor[dst] = anchor[key]
+                    nxt.append(dst)
+                    continue
                 tables = []
-                if closes is not None:
-                    for u in (u for u in open_ if u != k):
-                        # a ratio's key names first the coordinate at the later
-                        # position: u's only where u placed it before k's
-                        cross = tuple(
-                            (u, k, ou - o) if ou < len(key[u]) and key[u][ou] > taken[o]
-                            else (k, u, o - ou)
-                            for o in range(parts[k]) for ou in range(parts[u]))
-                        factors[k, u, cross] = (cross, (min(k, u), max(k, u)))
-                        tables.append((k, u, cross))
-                    closings[k].add(taken)
-                    taken = None
-                dst = key[:k] + (taken,) + key[k + 1:]
+                for u in (u for u in open_ if u != k):
+                    # a ratio's key names first the coordinate at the later
+                    # position: u's only where u placed it before k's
+                    cross = tuple(
+                        (u, k, ou - o) if ou < len(key[u]) and key[u][ou] > taken[o]
+                        else (k, u, o - ou)
+                        for o in range(parts[k]) for ou in range(parts[u]))
+                    factors[k, u, cross] = (cross, (min(k, u), max(k, u)))
+                    tables.append((k, u, cross))
+                closings[k].add(taken)
+                dst = key[:k] + (None,) + key[k + 1:]
                 if dst not in moves:
                     moves[dst] = []
+                    anchor[dst] = dst
                     nxt.append(dst)
-                moves[key].append((dst, k, tuple(tables), closes))
+                moves[anchor[key]].append((dst, k, tuple(tables), taken))
         level = nxt
-    ids = {key: i for i, key in enumerate([*moves, final])}
+    ids = {key: i for i, key in enumerate(moves)}
     rows = {name: r for r, name in enumerate(factors)}
     closings = tuple(tuple(sorted(c)) for c in closings)
     closing_rows = [{taken: r for r, taken in enumerate(c)} for c in closings]
     steps = tuple(
         tuple(Placement(ids[dst], k, tuple(rows[name] for name in tables),
-                        None if closes is None else closing_rows[k][closes])
-              for dst, k, tables, closes in out)
-        for out in moves.values()) + ((),)
+                        closing_rows[k][taken])
+              for dst, k, tables, taken in out)
+        for out in moves.values())
     scalar = 1.0
     for lam in parts:  # offsets descend along the positions inside a cluster
         for beta in range(lam):

@@ -87,9 +87,15 @@ def _grid_size(lines: int, rates, pole_distance: float, nodes=None, half_width=N
     meeting the step tolerance of that many lines (of MAX_LINES, beyond it)
     for both error mechanisms, the fastest decay and the nearest pole; N is
     the odd node count, at least _MIN_NODES, that covers [-T, T] at that
-    spacing."""
+    spacing.  Raises NumericsError for a decay rate of 0 or a T beyond the
+    floats, as a subnormal t gives."""
+    if not min(rates) > 0:
+        raise NumericsError(f"Gaussian decay rate {min(rates):.6g} underflows; t is too small")
     if half_width is None:
         half_width = math.sqrt((math.log(1.0 / TAIL_TOL) + TAIL_SAFETY) / min(rates))
+        if not math.isfinite(half_width):
+            raise NumericsError(f"half-width for the Gaussian decay rate {min(rates):.6g} "
+                                f"overflows; t is too small")
     if nodes is None:
         log_tol = math.log(1.0 / _STEP_TOL[min(lines, MAX_LINES)])
         h = math.pi / math.sqrt(max(rates) * log_tol)

@@ -75,10 +75,6 @@ def enumerate_partitions(n: int) -> list[Partition]:
             total -= c
 
 
-def multiplicity_constant(p: Partition) -> int:
-    return p.multiplicity
-
-
 def cluster_expand(w, p: Partition) -> list[complex]:
     """Stack cluster base points into the full coordinate list.
 

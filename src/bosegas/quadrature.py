@@ -28,10 +28,11 @@ the tables vetted on their offsets, 2N-1 values each.
 
 The trapezoid sum over the N**lines grid is a recursion over the placement
 states (variable elimination, as in opt_einsum, shared between orders as in
-Held & Karp's subset recursion).  A state's message is a dense array over the
-lines still open once one of them has been summed out, and nothing before
-that: a table enters whole, at the step that closes the first of its two
-lines, so no message carries one.  A step that closes line k multiplies in
+Held & Karp's subset recursion).  Every step closes a line, so the states
+are the start and every state a line closes into.  A state's message is a
+dense array over the lines still open, and the start has none: a table
+enters whole, at the step that closes the first of its two lines, so no
+message carries one.  A step that closes line k multiplies in
 line k's vector and its tables to the open lines and sums w_k out: a plain
 sum at one line, one convolution of the offset vector with the line's vector
 at two (so a two-line term never forms an N x N array), one N^3 matmul at
@@ -43,10 +44,9 @@ offset vector, one view of the whole stack per grid, never as a stored
 N x N array.  Messages reaching the same state are added, except that no
 three-line message is ever held whole: the step that closes one of four
 open lines forms its N^3 result in blocks of rows that fit in cache, and
-hands each block at once to every closing step out of the state it
-reaches (through any steps that close no line), each of which adds the
-block's share into its N x N message.  So no array spans three lines.
-Nothing visits the grid node by node.
+hands each block at once to every step out of the state it reaches, each
+of which adds the block's share into its N x N message.  So no array spans
+three lines.  Nothing visits the grid node by node.
 
 Scaling: each line's vectors are exp(1j Im e) * weight * exp(Re e - s_k) with
 s_k the largest Re e over every exponent that line can carry, so a term's
@@ -125,18 +125,16 @@ class QuadratureResult:
 
 
 class Placement(NamedTuple):
-    """One step of a placement order, into state dst.
-
-    When `closes` is not None the step is the line's last: exp(exponents[line]
-    [closes]) goes in with every table row r in `tables`, each joining `line`
-    to another open line (the term's pairs[r]), at most one per line pair,
-    and the line is summed out.  A step that closes no line carries no table.
+    """One step of a placement order, into state dst, closing `line`:
+    exp(exponents[line][closes]) goes in with every table row r in `tables`,
+    each joining `line` to another open line (the term's pairs[r]), at most
+    one per line pair, and the line is summed out.
     """
 
     dst: int
     line: int
     tables: tuple = ()
-    closes: int | None = None
+    closes: int = 0
 
 
 @dataclass(frozen=True)
@@ -145,13 +143,13 @@ class Interleavings:
 
     steps[s] holds the Placements out of state s.  Every path starts at
     state 0, steps to higher states only, ends at the last state (which no
-    step leaves) and closes each line once.  A state no line has closed at
-    yet must be reached by one path.  A line pair's table, if it has one,
-    enters at the step that closes the first of its two lines.  exponents
-    holds per line a (rows, N) complex array, one row per way the line can
-    close; tables is the (K, 2N-1) stack of offset vectors, row r the table
-    T[a, b] = tables[r, a - b + N - 1] on the line pair (i, j) = pairs[r],
-    i < j, indexed (node on i, node on j).
+    step leaves) and closes one line per step, each line once, so the
+    states are the start and every state a step closes a line into.  A line
+    pair's table, if it has one, enters at the step that closes the first of
+    its two lines.  exponents holds per line a (rows, N) complex array, one
+    row per way the line can close; tables is the (K, 2N-1) stack of offset
+    vectors, row r the table T[a, b] = tables[r, a - b + N - 1] on the line
+    pair (i, j) = pairs[r], i < j, indexed (node on i, node on j).
     """
 
     steps: tuple
@@ -174,7 +172,7 @@ class Interleavings:
         exponents = tuple(np.asarray(e)[None, :] for e in exponents)
         pairs = tuple(pairs)
         steps = tuple(
-            (Placement(dst=i + 1, line=k, closes=0,
+            (Placement(dst=i + 1, line=k,
                        tables=tuple(r for r, (_, j) in enumerate(pairs) if j == k)),)
             for i, k in enumerate(range(len(exponents) - 1, -1, -1))
         ) + ((),)
@@ -281,15 +279,14 @@ def _vet_tables(term: Interleavings, Z):
 def _vet_steps(term: Interleavings):
     """Refuse a term the recursion would drop a table of: every table a step
     names must join the step's line to another line, at most one per line
-    pair, on a step that closes the line."""
+    pair."""
     for steps in term.steps:
         for step in steps:
             pairs = [term.pairs[r] for r in step.tables]
-            if pairs and (step.closes is None or len(set(pairs)) < len(pairs)
-                          or not all(step.line in pair for pair in pairs)):
+            if len(set(pairs)) < len(pairs) or not all(step.line in pair for pair in pairs):
                 raise ValueError(
-                    f"a step on line {step.line} into state {step.dst} names tables on "
-                    f"line pairs {pairs}; only a closing step may, one per pair of its line")
+                    f"a step closing line {step.line} into state {step.dst} names tables on "
+                    f"line pairs {pairs}; it may name one per pair of its line")
 
 
 def _matmul(a, b, out=None):
@@ -395,14 +392,14 @@ def _sum_out(core, axis, v, facs):
 
 
 # A message is (open, core): the lines not yet summed out, ascending (core's
-# axes once it exists), and core, None until a line is summed out, then an
-# array (a scalar at the end).  Only a step that closes a line carries
-# tables, so a message collects none: the step hands each table straight to
-# the elimination as a factor (g, view), its offset vector and its (N, N)
-# view (None where none was made), oriented (node on the closing line, node
-# on the other); reversing g and transposing the view flip it.  A message
-# over three lines is never held whole: it exists only as the blocks that
-# _stream_four hands on.
+# axes once it exists), and core, None at the start, where no line is summed
+# out, then an array (a scalar at the end).  Every step closes a line and
+# carries its tables, so a message collects none: the step hands each table
+# straight to the elimination as a factor (g, view), its offset vector and
+# its (N, N) view (None where none was made), oriented (node on the closing
+# line, node on the other); reversing g and transposing the view flip it.  A
+# message over three lines is never held whole: it exists only as the blocks
+# that _stream_four hands on.
 
 
 def _operands(open_, step, vectors, tables):
@@ -426,61 +423,39 @@ def _operands(open_, step, vectors, tables):
     return axis, rest, v, facs
 
 
-def _advance(msg, step, vectors, tables):
-    if step.closes is None:
-        return msg
-    axis, rest, v, facs = _operands(msg[0], step, vectors, tables)
-    return rest, _sum_out(msg[1], axis, v, facs)
-
-
 def _deposit(acc, state, msg):
     """Add a message into the state's sum."""
     prev = acc.get(state)
-    if prev is None:
-        acc[state] = msg
-    elif msg[1] is None:
-        raise ValueError(f"state {state} is reached by two paths before any line closes")
-    else:
-        acc[state] = (msg[0], prev[1] + msg[1])
+    acc[state] = msg if prev is None else (msg[0], prev[1] + msg[1])
 
 
 def _push(steps, msg, ctx):
     """Send a message along the given steps, adding each result into its
     state's sum; a step that closes one of four open lines streams its
     result (see _stream_four)."""
-    all_steps, acc, vectors, tables = ctx
+    _, acc, vectors, tables = ctx
     for step in steps:
-        if step.closes is not None and len(msg[0]) == 4:
+        if len(msg[0]) == 4:
             _stream_four(msg[0], step, ctx)
         else:
-            _deposit(acc, step.dst, _advance(msg, step, vectors, tables))
+            axis, rest, v, facs = _operands(msg[0], step, vectors, tables)
+            _deposit(acc, step.dst, (rest, _sum_out(msg[1], axis, v, facs)))
 
 
 def _stream_four(open_, step, ctx):
     """Close one of four open lines.  Its three-line result is formed block
-    by block, and each block goes at once to every closing step out of the
-    state it reaches, passed on through steps that close no line; their
-    two-line messages are added into their states' sums after the last
-    block, in the order the steps are listed."""
+    by block, and each block goes at once to every step out of the state it
+    reaches; their two-line messages are added into their states' sums after
+    the last block, in the order the steps are listed."""
     all_steps, acc, vectors, tables = ctx
     _, rest, v, facs = _operands(open_, step, vectors, tables)
     sinks = []
-    _gather_sinks(all_steps[step.dst], rest, ctx, sinks)
+    for sink in all_steps[step.dst]:
+        axis, lines, sink_v, sink_facs = _operands(rest, sink, vectors, tables)
+        sinks.append((sink.dst, lines, *_three_line_sink(axis, sink_v, sink_facs)))
     _eliminate_four(v, facs, [take for *_, take in sinks])
     for dst, lines, out, _ in sinks:
         _deposit(acc, dst, (lines, out))
-
-
-def _gather_sinks(steps, open_, ctx, sinks):
-    """Append (state, open lines, message, take) for every closing step
-    reached from `steps` through steps that close no line."""
-    all_steps, _, vectors, tables = ctx
-    for step in steps:
-        if step.closes is None:
-            _gather_sinks(all_steps[step.dst], open_, ctx, sinks)
-        else:
-            axis, rest, v, facs = _operands(open_, step, vectors, tables)
-            sinks.append((step.dst, rest, *_three_line_sink(axis, v, facs)))
 
 
 def _sum_orders(term: Interleavings, vectors, tables):

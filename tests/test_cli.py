@@ -358,6 +358,24 @@ def test_overflowing_integrand_is_one_error_line(capsys, argv, message):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["moment", "--t", "1e-320", "--n", "3"],
+    ["moment", "--t", "1e-310", "--n", "1"],
+    ["moment", "--t", "1e-320", "--n", "2", "--route", "nested"],
+    ["asymptotic-table", "--n", "2", "--t-list", "1e-320"],
+    ["moment", "--t", "1e-320", "--n", "2", "--nodes", "65"],
+    # t/2 underflows to 0 even with the plan given
+    ["moment", "--t", "5e-324", "--n", "1", "--nodes", "5", "--half-width", "1"],
+], ids=" ".join)
+def test_subnormal_t_is_one_error_line(capsys, argv):
+    # the Gaussian decay rates t*lambda/2 are too small to size a grid by
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+
+
 CSV_JSON_MATRIX = [
     *(["moment", "--t", "1.5", "--n", str(n), "--route", route]
       for n in (1, 2, 3) for route in ("partition", "nested")),

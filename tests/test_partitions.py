@@ -11,7 +11,6 @@ from bosegas.partitions import (
     cluster_expand,
     cluster_slots,
     enumerate_partitions,
-    multiplicity_constant,
 )
 
 
@@ -76,10 +75,10 @@ def test_partition_validation():
 
 
 def test_multiplicity_values():
-    assert multiplicity_constant(Partition((1, 1, 1))) == 6
-    assert multiplicity_constant(Partition((2, 2, 1))) == 2
-    assert multiplicity_constant(Partition((3,))) == 1
-    assert multiplicity_constant(Partition((2, 2, 2, 1, 1))) == 12
+    assert Partition((1, 1, 1)).multiplicity == 6
+    assert Partition((2, 2, 1)).multiplicity == 2
+    assert Partition((3,)).multiplicity == 1
+    assert Partition((2, 2, 2, 1, 1)).multiplicity == 12
 
 
 @pytest.mark.parametrize("n", range(1, 13))

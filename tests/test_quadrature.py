@@ -425,27 +425,33 @@ PLACEMENT_GRAPHS = [p for n in range(1, MAX_TOP_SIZE + 1) for p in enumerate_par
                     if p.length <= MAX_LINES]
 
 
+# (states, steps) of some graphs: every step closes a line, so the states
+# are the start and every state a line closes into
+GRAPH_SIZES = {(2, 1): (5, 6), (2, 2): (8, 12), (2, 1, 1): (12, 22),
+               (2, 1, 1, 1): (28, 68), (1, 1, 1, 1): (16, 32)}
+
+
 def test_each_line_pair_table_enters_once_as_its_first_line_closes():
-    # on every graph cluster_integral accepts, a step that closes line k
-    # carries exactly one table per other open line, holding all
-    # lambda_k * lambda_u cross ratios, and no other step carries one.  Each
-    # state is reached with one set of open lines, so checking every step
-    # against its state's set checks every path: each line pair's table
-    # enters once, at the closing step of the first of its two lines.
+    # on every graph cluster_integral accepts, every step closes a line k
+    # open at its state and carries exactly one table per other open line,
+    # holding all lambda_k * lambda_u cross ratios.  Each state is reached
+    # with one set of open lines, so checking every step against its state's
+    # set checks every path: each line pair's table enters once, at the
+    # closing step of the first of its two lines.
     assert len(PLACEMENT_GRAPHS) == 70
     for p in PLACEMENT_GRAPHS:
         graph = _placements(p.parts)
+        if p.parts in GRAPH_SIZES:
+            assert (len(graph.steps), sum(map(len, graph.steps))) == GRAPH_SIZES[p.parts], p
         open_at = {0: frozenset(range(p.length))}
         for state, steps in enumerate(graph.steps):
             for step in steps:
                 k, lines = step.line, open_at[state]
+                assert k in lines, (p, state, step)
                 pairs = sorted(graph.pairs[r] for r in step.tables)
-                if step.closes is None:
-                    assert not pairs, (p, state, step)
-                else:
-                    assert pairs == [(min(k, u), max(k, u)) for u in sorted(lines - {k})], \
-                        (p, state, step)
-                    lines = lines - {k}
+                assert pairs == [(min(k, u), max(k, u)) for u in sorted(lines - {k})], \
+                    (p, state, step)
+                lines = lines - {k}
                 for r in step.tables:
                     i, j = graph.pairs[r]
                     assert len(graph.tables[r][0]) == p.parts[i] * p.parts[j], (p, r)
@@ -456,14 +462,10 @@ def test_each_line_pair_table_enters_once_as_its_first_line_closes():
 # (pairs, steps out of each state) of two- and three-line terms whose
 # recursion would drop a table
 DROPPED_TABLES = {
-    "table on a step closing no line": (((0, 1),), (
-        (Placement(1, 1, (0,)),), (Placement(2, 1, closes=0),), (Placement(3, 0, closes=0),),
-        ())),
     "two tables for one line pair": (((0, 1), (0, 1)), (
-        (Placement(1, 1, (0, 1), 0),), (Placement(2, 0, closes=0),), ())),
+        (Placement(1, 1, (0, 1)),), (Placement(2, 0),), ())),
     "table off the closing line": (((0, 1),), (
-        (Placement(1, 2, (0,), 0),), (Placement(2, 1, closes=0),), (Placement(3, 0, closes=0),),
-        ())),
+        (Placement(1, 2, (0,)),), (Placement(2, 1),), (Placement(3, 0),), ())),
 }
 
 
@@ -479,7 +481,7 @@ def test_tables_the_recursion_would_drop_refused_before_any_sum(monkeypatch, cas
         return Interleavings(steps, exponents, np.ones((len(pairs), 2 * n - 1)), pairs)
 
     plan = ContourPlan(theta=0.0, epsilon=0.1, half_width=2.0, nodes_per_line=n)
-    with pytest.raises(ValueError, match="only a closing step may"):
+    with pytest.raises(ValueError, match="it may name one per pair of its line"):
         integrate_tensor(f, plan, lines)
     assert not sums
 
