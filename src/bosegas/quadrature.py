@@ -48,6 +48,26 @@ hands each block at once to every step out of the state it reaches, each
 of which adds the block's share into its N x N message.  So no array spans
 three lines.  Nothing visits the grid node by node.
 
+Reflection: every integrand this package forms is real on the real axis,
+f(conj w) = conj f(w), for t, the points, the line abscissas and every shift
+in the kernel are real; and y is symmetric about 0, so node N-1-a of a line
+is the conjugate of node a.  Reversing every line's nodes therefore
+conjugates each product of factors, and any line L's half of the grid with
+a_L > m = (N-1)/2 sums to the conjugate of its half with a_L < m, while the
+slice a_L = m is its own conjugate.  So the sum over any set of paths is
+2 Re of its sum over a_L <= m with weight 1/2 at a_L = m, and since that is
+linear, each step out of the start may restrict a line of its own.  A term
+of three or more lines restricts rest[0], the first line its first step
+leaves open: the line the four-line blocks of rows run over, and the row
+line of the three-line start's matmul.  So every first elimination does
+half its work, the later steps run on messages whose rows past the first
+ceil(N/2) are 0, and the term's sum is 2 Re of the recursion's.  The coarse
+grid has (N+1)/2 nodes, an even count when N = 3 mod 4, and then no middle
+node.  One- and two-line terms, O(N^2) work, sum the whole grid.  The
+identity needs exponent rows and tables that are conjugate under node
+reversal; _vet_reflection refuses a term of three or more lines whose
+factors are not.
+
 Scaling: each line's vectors are exp(1j Im e) * weight * exp(Re e - s_k) with
 s_k the largest Re e over every exponent that line can carry, so a term's
 value is its recursion sum times exp(sum_k s_k), one scalar log-scale,
@@ -69,7 +89,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import NumericsError, UnsupportedDimensionError
 from .scaled import ScaledComplex, rel_diff
@@ -205,11 +224,33 @@ def _toeplitz_table(g):
     """The read-only (N, N) view T[a, b] = g[a - b + N - 1] of a vector g
     of length 2N-1 indexed by node offset, as _node_differences returns, or
     one such view per row of a stack of them.  Row a starts at g[a + N - 1]
-    and runs back towards g[a]: every entry lies inside g."""
+    and runs back towards g[a]: every entry lies inside g.  A g that is not
+    contiguous, such as the coarse grid's stack [:, ::2], is copied first
+    (its K x N values); a contiguous one is shared.
+
+    The view is made by the ndarray constructor on g's buffer, not by
+    as_strided, whose __array_interface__ round trip makes numpy 2.4 keep an
+    extra block of about 1 MB after some 10^4 calls."""
+    g = np.ascontiguousarray(g)
     n = (g.shape[-1] + 1) // 2
-    step = g.strides[-1]
-    return as_strided(g[..., n - 1:], shape=g.shape[:-1] + (n, n),
-                      strides=g.strides[:-1] + (step, -step), writeable=False)
+    step = g.itemsize
+    # an empty stack has no buffer to offset into
+    offset = (n - 1) * step if g.size else 0
+    table = np.ndarray(g.shape[:-1] + (n, n), g.dtype, buffer=g, offset=offset,
+                       strides=g.strides[:-1] + (step, -step))
+    table.flags.writeable = False
+    return table
+
+
+def _half_columns(square):
+    """The first ceil(N/2) columns of an (N, N) table, the middle one (N
+    odd) at half weight: a first step's table to the line it restricts (see
+    Reflection in the module docstring)."""
+    n = square.shape[1]
+    half = square[:, :(n + 1) // 2].copy()
+    if n % 2:
+        half[:, -1] *= 0.5
+    return half
 
 
 def _square(fac):
@@ -289,6 +330,31 @@ def _vet_steps(term: Interleavings):
                     f"line pairs {pairs}; it may name one per pair of its line")
 
 
+def _unreflected(rows, floor):
+    """The first row of a stack that is not conjugate under reversal, to
+    1e-12 of the row's largest magnitude or of floor if that is larger, or
+    None."""
+    scale = np.maximum(np.abs(rows).max(axis=1), floor)
+    off = np.abs(rows[:, ::-1] - rows.conj()).max(axis=1) > 1e-12 * scale
+    return int(np.argmax(off)) if off.any() else None
+
+
+def _vet_reflection(term: Interleavings):
+    """Refuse a term the half grid of Reflection would get wrong: one whose
+    exponent rows (floor 1) or tables (floor 0) are not conjugate under node
+    reversal (see _unreflected), naming the line or the line pair."""
+    row = _unreflected(np.concatenate(term.exponents), 1.0)
+    if row is not None:
+        k = int(np.searchsorted(np.cumsum([len(e) for e in term.exponents]), row, "right"))
+        raise ValueError(f"integrand not real on the real axis: the exponents of line "
+                         f"{k + 1} are not conjugate under node reversal")
+    row = _unreflected(term.tables, 0.0)
+    if row is not None:
+        i, j = term.pairs[row]
+        raise ValueError(f"integrand not real on the real axis: the table of lines "
+                         f"{i + 1},{j + 1} is not conjugate under node reversal")
+
+
 def _matmul(a, b, out=None):
     """a @ b, written into out if given, bit-identical at any BLAS thread
     count (see _MATMUL_BLOCK).  A longer inner dimension is summed block by
@@ -313,10 +379,10 @@ def _block_rows(n):
 
 def _eliminate_four(v, facs, sinks):
     """Stream m[a, b, c] = sum_d v[d] F0[d, a] F1[d, b] F2[d, c] in blocks of
-    rows a: each block's left factor is built in one scratch array, its
-    product written into one block array and handed to every sink as
-    sink(a, block, scratch) before the next block is formed.  A sink may
-    overwrite scratch.  No (N, N, N) array is formed."""
+    rows a, over the columns F0 has: each block's left factor is built in
+    one scratch array, its product written into one block array and handed
+    to every sink as sink(a, block, scratch) before the next block is
+    formed.  A sink may overwrite scratch.  No (N, N, N) array is formed."""
     n = v.size
     left = np.multiply(_square(facs[0]).T, v, order="C")  # v[d] F0[d, a] on (a, d)
     mid = np.ascontiguousarray(_square(facs[1]).T)
@@ -327,8 +393,8 @@ def _eliminate_four(v, facs, sinks):
     # cover a term's arrays, which then stay on the heap between terms
     # instead of being returned and faulted in again
     scratch, blocks = np.empty((2, rows, n, n), dtype=complex)
-    for a in range(0, n, rows):
-        b = min(a + rows, n)
+    for a in range(0, len(left), rows):
+        b = min(a + rows, len(left))
         lhs, block = scratch[:b - a], blocks[:b - a]
         np.multiply(left[a:b, None, :], mid, out=lhs)
         _matmul(lhs.reshape(-1, n), right, out=block.reshape(-1, n))
@@ -374,21 +440,23 @@ def _three_line_sink(axis, v, facs):
 
 
 def _sum_out(core, axis, v, facs):
-    """Sum line k out of a message over at most three open lines.  core
-    spans the open lines with k on `axis` (None: no line summed out yet); v
-    is line k's vector and facs its tables to the other open lines, in line
-    order, each a factor oriented (node on k, node on u).  Returns the
-    message over the other open lines."""
+    """Sum line k out of a message over one or two open lines, or out of the
+    start of a one- or two-line term.  core spans the open lines with k on
+    `axis` (None: the start, no line summed out yet); v is line k's vector
+    and facs its tables to the other open lines, in line order, each a
+    factor oriented (node on k, node on u).  Returns the message over the
+    other open lines."""
     if core is None:
         if not facs:
             return complex(v.sum())
-        if len(facs) == 1:  # out[b] = sum_a v[a] g[a - b + N - 1]
-            return np.convolve(facs[0][0][::-1], v, "valid")
-        return _matmul((_square(facs[0]) * v[:, None]).T, _square(facs[1]))
+        # out[b] = sum_a v[a] g[a - b + N - 1]
+        return np.convolve(facs[0][0][::-1], v, "valid")
     if core.ndim == 1:
         return complex(core @ v)
-    table = _square(facs[0]) * v[:, None]  # (node on k, node on u)
-    return (core * (table if axis == 0 else table.T)).sum(axis=axis)
+    # out[u] = sum_k core[.., k, ..] F[k, u] v[k] in one pass, forming no
+    # N x N temporary (see _start_three)
+    spec = "ku,ku,k->u" if axis == 0 else "uk,ku,k->u"
+    return np.einsum(spec, core, _square(facs[0]), v)
 
 
 # A message is (open, core): the lines not yet summed out, ascending (core's
@@ -431,24 +499,55 @@ def _deposit(acc, state, msg):
 
 def _push(steps, msg, ctx):
     """Send a message along the given steps, adding each result into its
-    state's sum; a step that closes one of four open lines streams its
-    result (see _stream_four)."""
+    state's sum.  Three or four lines are open only at the start of a term,
+    whose steps take the half grid of Reflection: a step that closes one of
+    four open lines streams its result (see _stream_four), and the steps out
+    of three open lines are taken together (see _start_three)."""
     _, acc, vectors, tables = ctx
+    open_, core = msg
+    if len(open_) == 3:
+        _start_three(open_, steps, ctx)
+        return
     for step in steps:
-        if len(msg[0]) == 4:
-            _stream_four(msg[0], step, ctx)
+        if len(open_) == 4:
+            _stream_four(open_, step, ctx)
         else:
-            axis, rest, v, facs = _operands(msg[0], step, vectors, tables)
-            _deposit(acc, step.dst, (rest, _sum_out(msg[1], axis, v, facs)))
+            axis, rest, v, facs = _operands(open_, step, vectors, tables)
+            _deposit(acc, step.dst, (rest, _sum_out(core, axis, v, facs)))
+
+
+def _start_three(open_, steps, ctx):
+    """Close each first line of a three-line term: out[p, q] = sum_k v[k]
+    F0[k, p] F1[k, q], one matmul per step over the first ceil(N/2) rows p
+    of rest[0] only (see Reflection); the other rows stay 0.
+
+    The operand and every step's message are one allocation, and the later
+    steps form no N x N array: glibc's malloc raises its mmap and trim
+    thresholds to the largest mapped block freed, so after the first term
+    the block and the term's smaller arrays stay on the heap instead of
+    being returned and faulted in again."""
+    _, acc, vectors, tables = ctx
+    n = vectors[0].shape[1]
+    half = (n + 1) // 2
+    work = np.empty((1 + len(steps), n, n), dtype=complex)
+    operand, outs = work[0, :half], work[1:]
+    outs[:, half:] = 0.0
+    for step, out in zip(steps, outs):
+        _, rest, v, facs = _operands(open_, step, vectors, tables)
+        np.multiply(_half_columns(_square(facs[0])).T, v, out=operand)  # (p, k)
+        _matmul(operand, _square(facs[1]), out=out[:half])
+        _deposit(acc, step.dst, (rest, out))
 
 
 def _stream_four(open_, step, ctx):
     """Close one of four open lines.  Its three-line result is formed block
-    by block, and each block goes at once to every step out of the state it
-    reaches; their two-line messages are added into their states' sums after
-    the last block, in the order the steps are listed."""
+    by block, over the first ceil(N/2) nodes of rest[0] only (see
+    Reflection), and each block goes at once to every step out of the state
+    it reaches; their two-line messages are added into their states' sums
+    after the last block, in the order the steps are listed."""
     all_steps, acc, vectors, tables = ctx
     _, rest, v, facs = _operands(open_, step, vectors, tables)
+    facs[0] = (None, _half_columns(_square(facs[0])))
     sinks = []
     for sink in all_steps[step.dst]:
         axis, lines, sink_v, sink_facs = _operands(rest, sink, vectors, tables)
@@ -459,7 +558,9 @@ def _stream_four(open_, step, ctx):
 
 
 def _sum_orders(term: Interleavings, vectors, tables):
-    """The term's sum over placement orders on one grid, before coef."""
+    """The term's sum over placement orders on one grid, before coef.  At
+    three or more lines the recursion sums half the grid and the sum is 2 Re
+    of its sum (see Reflection), a real number."""
     acc = {0: (tuple(range(len(term.exponents))), None)}
     # every table's (N, N) view, made once per grid; at one or two lines no
     # table meets a dense message, so none is needed
@@ -470,7 +571,8 @@ def _sum_orders(term: Interleavings, vectors, tables):
         msg = acc.pop(state, None)
         if msg is not None:
             _push(term.steps[state], msg, ctx)
-    return acc.pop(last)[1]
+    total = acc.pop(last)[1]
+    return complex(2.0 * total.real) if len(term.exponents) > 2 else total
 
 
 def _trapezoid_sums(f, plan: ContourPlan, num_lines: int, re_parts):
@@ -490,6 +592,8 @@ def _trapezoid_sums(f, plan: ContourPlan, num_lines: int, re_parts):
     _vet_steps(term)
     vectors, log = _line_vectors(term.exponents, w, Z)
     _vet_tables(term, Z)
+    if num_lines > 2:
+        _vet_reflection(term)
     full = _sum_orders(term, vectors, term.tables)
     # every other node: spacing 2h, so weights double on each line
     half = _sum_orders(term, [2.0 * v[:, ::2] for v in vectors], term.tables[:, ::2])
@@ -506,7 +610,11 @@ def integrate_tensor(f, plan: ContourPlan, num_lines: int, decay_rates=None, abs
     f(Z) -> one Interleavings, with Z of shape (num_lines, N) holding each
     line's nodes, all lines on the same imaginary parts (the grid invariant
     above), and the term's tables given as offset vectors of length 2N-1, one
-    per entry of its pairs.
+    per entry of its pairs.  At three or more lines the integrand must be
+    real on the real axis, f(conj w) = conj f(w): every exponent row and
+    table conjugate under node reversal, as the module's integrands are.
+    The sum then runs on half the grid (see Reflection in the module
+    docstring), and another integrand is refused with ValueError.
     Line k sits at Re w = theta + k*epsilon unless explicit `abscissas`
     override the real parts.  decay_rates (per-line Gaussian coefficients a_k with
     |integrand| ~ exp(-a_k y_k^2)) feed the tail bound.

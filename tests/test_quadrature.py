@@ -275,12 +275,19 @@ def _nested_values(t, x_sorted):
 
 ORACLE_T = 0.8
 ORACLE_X = (-0.4, 0.1, 0.7, 1.0)
-ORACLE_CASES = [(p, p.n) for n in range(1, 5) for p in enumerate_partitions(n)]
-ORACLE_CASES += [("nested", n) for n in range(1, 5)]
+ORACLE_CASES = [(p, p.n, 11) for n in range(1, 5) for p in enumerate_partitions(n)]
+ORACLE_CASES += [("nested", n, 11) for n in range(1, 5)]
+# at 11 nodes the coarse grid has 6, an even count with no middle node; at 13
+# it has 7, whose middle node the half grid of three or more lines weighs 1/2
+ORACLE_CASES += [(Partition(parts), sum(parts), 13) for parts in ((1, 1, 1), (2, 1, 1),
+                                                                  (1, 1, 1, 1))]
+ORACLE_CASES += [("nested", n, 13) for n in (3, 4)]
 
 
-@pytest.mark.parametrize("case,n", ORACLE_CASES, ids=[f"{c}-{n}" for c, n in ORACLE_CASES])
-def test_contraction_matches_node_sweep(case, n):
+@pytest.mark.parametrize("case,n,nodes", ORACLE_CASES,
+                         ids=[f"{c}-{n}" + ("" if nodes == 11 else f"-N{nodes}")
+                              for c, n, nodes in ORACLE_CASES])
+def test_contraction_matches_node_sweep(case, n, nodes):
     # the contraction regroups the sum over every tensor-grid node; on small
     # off-origin plans it must reproduce a sweep of independent integrands
     # over every node: LU determinant x clustered kernel, or the literal
@@ -291,12 +298,12 @@ def test_contraction_matches_node_sweep(case, n):
     lines = n if case == "nested" else case.length
     if case == "nested":
         a = default_abscissas(n, ORACLE_T, x)
-        plan = auto_nested_plan(ORACLE_T, a, nodes=11)
+        plan = auto_nested_plan(ORACLE_T, a, nodes=nodes)
         f = _nested_integrand(ORACLE_T, np.asarray(sorted(x)))
         values = _nested_values(ORACLE_T, sorted(x))
         re_parts = np.array(a)
     else:
-        plan = auto_cluster_plan(ORACLE_T, case, x, nodes=11)
+        plan = auto_cluster_plan(ORACLE_T, case, x, nodes=nodes)
         f = cluster_integrand_batch(ORACLE_T, x, case)
         values = _cluster_values(ORACLE_T, x, case)
         re_parts = plan.theta + plan.epsilon * np.arange(lines)
@@ -304,6 +311,8 @@ def test_contraction_matches_node_sweep(case, n):
     want_full, want_coarse = _node_sweep(values, plan, re_parts)
     assert abs(full.to_complex() - want_full) <= 1e-12 * abs(want_full)
     assert abs(coarse.to_complex() - want_coarse) <= 1e-12 * abs(want_coarse)
+    if lines > 2:  # 2 Re of a half-grid sum
+        assert full.mantissa.imag == 0.0 and coarse.mantissa.imag == 0.0
 
 
 FIVE_POINT_X = ORACLE_X + (1.2,)
@@ -323,6 +332,8 @@ def test_recursion_matches_node_sweep_five_points(p):
                                          plan, re_parts)
     assert abs(full.to_complex() - want_full) <= 1e-12 * abs(want_full)
     assert abs(coarse.to_complex() - want_coarse) <= 1e-12 * abs(want_coarse)
+    if p.length > 2:  # 2 Re of a half-grid sum
+        assert full.mantissa.imag == 0.0 and coarse.mantissa.imag == 0.0
 
 
 def test_toeplitz_table_views_node_differences():
@@ -336,6 +347,25 @@ def test_toeplitz_table_views_node_differences():
         assert g.shape == (17,) and np.shares_memory(table, g)
         assert np.array_equal(table, Z[i][:, None] - Z[j][None, :])
         assert np.array_equal(table[::2, ::2], Z[i][::2, None] - Z[j][None, ::2])
+
+
+def test_toeplitz_table_views_vectors_and_stacks():
+    # one vector, a stack and the coarse grid's [:, ::2] stack each give the
+    # dense tables, read-only; a contiguous vector or stack is shared, not copied
+    rng = np.random.default_rng(7)
+    n = 9
+    stack = rng.standard_normal((3, 2 * n - 1)) + 1j * rng.standard_normal((3, 2 * n - 1))
+
+    def dense(g):
+        m = (len(g) + 1) // 2
+        return np.array([[g[a - b + m - 1] for b in range(m)] for a in range(m)])
+
+    for g, shared in ((stack[1], True), (stack, True), (stack[:, ::2], False)):
+        table = quadrature._toeplitz_table(g)
+        want = dense(g) if g.ndim == 1 else np.array([dense(row) for row in g])
+        assert np.array_equal(table, want)
+        assert not table.flags.writeable
+        assert np.shares_memory(table, g) == shared
 
 
 def _grid(plan, re_parts):
@@ -483,6 +513,37 @@ def test_tables_the_recursion_would_drop_refused_before_any_sum(monkeypatch, cas
     plan = ContourPlan(theta=0.0, epsilon=0.1, half_width=2.0, nodes_per_line=n)
     with pytest.raises(ValueError, match="it may name one per pair of its line"):
         integrate_tensor(f, plan, lines)
+    assert not sums
+
+
+@pytest.mark.parametrize("lines", [3, 4])
+@pytest.mark.parametrize("case", ["exponents", "table"])
+def test_integrand_not_real_on_real_axis_refused_before_any_sum(monkeypatch, case, lines):
+    # the half grid of three or more lines needs exponent rows and tables
+    # conjugate under node reversal; one that is not is refused up front,
+    # after the finiteness vets, which still win when both would refuse
+    sums = []
+    monkeypatch.setattr(quadrature, "_sum_orders", lambda *args: sums.append(args))
+    n = 7
+    pairs = tuple(itertools.combinations(range(lines), 2))
+
+    def f(Z, bad=None):
+        exponents = [0.5 * z * z for z in Z]
+        tables = np.ones((len(pairs), 2 * n - 1), dtype=complex)
+        if case == "exponents":
+            exponents[1] = exponents[1] + 0.3j * Z[1]
+        else:
+            tables[pairs.index((0, 2))] = 1.0 + 0.1j
+        if bad is not None:
+            tables[0, bad] = complex(math.inf, 0.0)
+        return Interleavings.product(exponents, pairs, tables)
+
+    named = "line 2" if case == "exponents" else "lines 1,3"
+    plan = ContourPlan(theta=0.1, epsilon=0.2, half_width=2.0, nodes_per_line=n)
+    with pytest.raises(ValueError, match=f"not real on the real axis: .* {named} "):
+        integrate_tensor(f, plan, lines)
+    with pytest.raises(NumericsError, match="not finite"):
+        integrate_tensor(lambda Z: f(Z, bad=3), plan, lines)
     assert not sums
 
 
