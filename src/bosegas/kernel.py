@@ -32,8 +32,10 @@ K / mult:
     two lines closes.  The sum over interleavings is then a recursion over how
     many coordinates of each cluster are still unplaced (Held & Karp,
     J. SIAM 10 (1962) 196), and a line is summed out as soon as its cluster
-    is complete: for 1+1+1+1, 4 four-line eliminations and 12 three-line
-    ones instead of 24 of each.
+    is complete: for 2+1+1, 5 four-line eliminations instead of 12.  The
+    route evaluates an all-singleton partition 1+...+1 as one order of the
+    nested integrand instead (see moments), so this recursion over its n!
+    orders is there the oracle the tests compare against.
     Every line-pair factor depends on w_i - w_j only, and the lines share
     one uniform grid of imaginary parts, so each table is Toeplitz.  A table
     is a rational function of D = w_i - w_j, its Cauchy factor and cross

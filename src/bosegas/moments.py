@@ -12,6 +12,16 @@ abscissas descend by gaps > 1.  Both are computed here and must agree; the
 full-cluster term lambda = (n) additionally has a closed Gaussian form that
 carries the large-t asymptotics.
 
+The all-singleton term 1+...+1 is the nested integrand itself on the cluster
+lines.  With the Cauchy factor of its determinant multiplied in, each pair
+ratio of one permutation's term is E/(E - 1), E = w_earlier - w_later, with
+no pole at E = 0: every one of the n! terms is the identity's on permuted
+lines, and permuting lines that lie within (n-1) eps < 1 of each other
+crosses no pole at E = 1.  So the term is one order of _nested_integrand,
+line k carrying x_(k), with its poles 1 + (j-i) eps > 1 from the grid;
+kernel.cluster_integrand_batch of 1^n, the sum over all n! orders, stays as
+its oracle.
+
 Plans: given no explicit ContourPlan the integration grid is sized
 automatically from what the integrand is known to do — per-line Gaussian
 decay rates lambda_k t / 2 fix the truncation T, and the analyticity strip
@@ -108,7 +118,12 @@ def _grid_size(lines: int, rates, pole_distance: float, nodes=None, half_width=N
 
 def cluster_pole_distance(p: Partition, eps: float) -> float:
     """Vertical distance from the contour product to the nearest cluster-matrix
-    pole: min over i != j of |lambda_i - (j - i) eps|.  inf for one line."""
+    pole: min over i != j of |lambda_i - (j - i) eps|.  inf for one line.
+
+    For 1+...+1 this is 1 - (n-1) eps, a pole of the kernel's sum over
+    orders that the route no longer forms: its one nested order has its
+    poles 1 + (j - i) eps away, so those plans are sized for a nearer pole
+    than the integrand has."""
     if p.length < 2:
         return math.inf
     best = math.inf
@@ -160,7 +175,11 @@ def cluster_integral(req: MomentRequest, p: Partition) -> QuadratureResult:
                 f"need 0 < epsilon < 1/(n-1) = {hi:.6g} for {p.length} lines at n={p.n}, "
                 f"got {plan.epsilon}"
             )
-    f = cluster_integrand_batch(req.t, req.x, p)
+    if p.length >= 2 and p.parts[0] == 1:
+        # 1+...+1: one order of the nested integrand (see the module docstring)
+        f = _nested_integrand(req.t, np.asarray(req.x.ordered))
+    else:
+        f = cluster_integrand_batch(req.t, req.x, p)
     rates = tuple(lam * req.t / 2.0 for lam in p.parts)
     return integrate_tensor(f, plan, p.length, decay_rates=rates)
 

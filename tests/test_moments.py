@@ -7,12 +7,15 @@ the whole convention stack (pairing order, cluster determinant,
 multiplicities, prefactors) at once.
 """
 
+import dataclasses
 import math
 
 import pytest
 
 import bosegas.moments as moments
+import bosegas.quadrature as quadrature
 from bosegas.errors import NearSingularityError, NumericsError, UnsupportedDimensionError
+from bosegas.kernel import cluster_integrand_batch
 from bosegas.moments import (
     MomentRequest,
     RatioResult,
@@ -34,7 +37,7 @@ from bosegas.moments import (
     two_point_moment,
 )
 from bosegas.partitions import Partition
-from bosegas.quadrature import ContourPlan, QuadratureResult
+from bosegas.quadrature import ContourPlan, QuadratureResult, integrate_tensor
 from bosegas.scaled import ScaledComplex, rel_diff
 from bosegas.scaled import ScaledComplex
 
@@ -120,13 +123,16 @@ def test_two_point_breakdown_structure():
 
 def test_breakdown_refuses_oversize_grid_before_any_integrand(monkeypatch):
     built = []
-    real = moments.cluster_integrand_batch
 
-    def counting(*args, **kwargs):
-        built.append(args)
-        return real(*args, **kwargs)
+    def counting(real):
+        def build(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+        return build
 
-    monkeypatch.setattr(moments, "cluster_integrand_batch", counting)
+    # 1+...+1 is built by _nested_integrand, every other partition by the kernel
+    for name in ("cluster_integrand_batch", "_nested_integrand"):
+        monkeypatch.setattr(moments, name, counting(getattr(moments, name)))
     # only 1+1+1+1 is too large, and it comes last in enumeration order
     with pytest.raises(NumericsError, match="beyond the limit"):
         cluster_breakdown(MomentRequest(1.0, (0.0,) * 4), nodes=2001)
@@ -260,7 +266,7 @@ def test_epsilon_validation_against_cluster_bound():
         cluster_integral(req, Partition((2, 1)))
 
 
-@pytest.mark.parametrize("parts", [(2, 1), (1, 1, 1)], ids=["2+1", "1+1+1"])
+@pytest.mark.parametrize("parts", [(2, 1)], ids=["2+1"])
 def test_partition_route_refuses_nodes_at_a_cross_ratio_pole(parts):
     # lines 1e-10 apart put same-height nodes of two clusters within 1e-10 of
     # a cross-ratio pole, below DEFAULT_MIN_SEPARATION
@@ -271,6 +277,17 @@ def test_partition_route_refuses_nodes_at_a_cross_ratio_pole(parts):
         cluster_integral(req, p)
 
 
+def test_singleton_term_forms_no_cross_ratio_pole():
+    # 1+1+1 is the nested integrand on the cluster lines, with poles at pair
+    # gaps of 1 only: lines 1e-10 apart put none on the grid
+    p = Partition((1, 1, 1))
+    x = (0.0, 0.3, -0.5)
+    near = cluster_integral(
+        MomentRequest(1.0, x, plan=auto_cluster_plan(1.0, p, x, epsilon=1e-10)), p)
+    ref = cluster_integral(MomentRequest(1.0, x), p)
+    assert rel_diff(near.value, ref.value) <= near.tail_bound + near.step_estimate
+
+
 def test_five_point_four_line_partition_pinned():
     # n = 5 with four lines: the one place a placement leaves four lines open
     # before any is summed out.  Value recorded from the per-permutation
@@ -278,6 +295,71 @@ def test_five_point_four_line_partition_pinned():
     res = cluster_integral(MomentRequest(1.0, (0.0,) * 5), Partition((2, 1, 1, 1)))
     want = ScaledComplex(0.9938567498132769 + 1.7114583043590026e-17j, -6.5814718055994526)
     assert rel_diff(res.value, want) <= 1e-12
+
+
+# --- 1+...+1: one order of the nested integrand ----------------------------
+
+
+@pytest.mark.parametrize("t", [1.0, 32.0])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("where", ["origin", "spread"])
+def test_singleton_term_matches_the_kernel_sum_over_orders(t, n, where):
+    # the route's 1^n term against the kernel's sum over all n! orders, the
+    # oracle, on the same lines at twice the node density
+    x = (0.0,) * n if where == "origin" else (0.1, -0.3, 0.5, 0.2)[:n]
+    p = Partition((1,) * n)
+    got = cluster_integral(MomentRequest(t, x), p)
+    plan = auto_cluster_plan(t, p, x)
+    fine = dataclasses.replace(plan, nodes_per_line=2 * plan.nodes_per_line - 1)
+    want = integrate_tensor(cluster_integrand_batch(t, x, p), fine, n,
+                            decay_rates=(t / 2.0,) * n)
+    tol = got.tail_bound + got.step_estimate + want.tail_bound + want.step_estimate
+    if max(got.step_estimate, want.step_estimate) <= 1e-12:
+        tol = max(tol, 1e-12)  # both at roundoff
+    assert rel_diff(got.value, want.value) <= tol
+
+
+# relative distance of the n = 2 partition total from the erf form as
+# measured with 1+1 summed over both orders of the kernel; its one nested
+# order must do no worse
+TWO_POINT_ERF_MISS = [
+    ((0.0, 0.0), 0.5, 2.991599534340192e-15),
+    ((0.0, 0.0), 1.0, 3.321494294730077e-15),
+    ((0.0, 0.0), 5.0, 2.483187577387478e-16),
+    ((0.1, -0.3), 0.5, 3.0975835798464355e-15),
+    ((0.1, -0.3), 1.0, 3.20466064642437e-15),
+    ((0.1, -0.3), 5.0, 1.5205086610593607e-16),
+]
+
+
+@pytest.mark.parametrize("x,t,miss", TWO_POINT_ERF_MISS)
+def test_two_point_total_no_farther_from_erf_form(x, t, miss):
+    assert rel_to(moment_partition_sum(MomentRequest(t, x)), two_point_moment(t, *x)) <= miss
+
+
+def test_singleton_terms_take_one_elimination_per_grid(monkeypatch):
+    # one order: a single path through the recursion, so one four-line
+    # elimination and one three-line start step per grid (full and coarse)
+    calls = {"four": 0, "three": 0}
+    real_four, real_three = quadrature._eliminate_four, quadrature._start_three
+
+    def four(*args):
+        calls["four"] += 1
+        return real_four(*args)
+
+    def three(open_, steps, ctx):
+        calls["three"] += len(steps)
+        return real_three(open_, steps, ctx)
+
+    monkeypatch.setattr(quadrature, "_eliminate_four", four)
+    monkeypatch.setattr(quadrature, "_start_three", three)
+    for n in (3, 4):
+        p = Partition((1,) * n)
+        x = (0.1, -0.3, 0.5, 0.2)[:n]
+        cluster_integral(MomentRequest(1.0, x, plan=auto_cluster_plan(1.0, p, x, nodes=11)), p)
+    # 1+1+1+1 closes its first line into a three-line state, which streams
+    # on to its two-line sums without a _start_three
+    assert calls == {"four": 2, "three": 2}
 
 
 # Full-cluster terms (n) at n = 1..4, recorded before the factor protocol
