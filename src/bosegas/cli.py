@@ -324,7 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--n", type=_count, help="number of points (all at 0 unless --x given)")
     m.add_argument("--x", type=_finite, nargs="+", help="evaluation points")
     m.add_argument("--route", choices=("partition", "nested"), default="partition")
-    m.add_argument("--theta", type=_finite, help="override contour abscissa (partition route)")
+    m.add_argument("--theta", type=_finite,
+                   help="override contour abscissa (partition route); it moves only the "
+                        "centre-of-mass line, which is integrated in closed form, so the "
+                        "value does not depend on it")
     m.add_argument("--epsilon", type=_finite, help="override line offset (partition route)")
     m.add_argument("--nodes", type=_nodes, help="override nodes per line (odd)")
     m.add_argument("--half-width", type=_positive, help="override contour truncation")

@@ -44,6 +44,13 @@ K / mult:
     and the tables are handed over as one (K, 2N-1) stack of offset vectors
     with the line pair of each row, beside one (rows, N) array of exponents
     per line (quadrature.Interleavings).
+  * on the routes that factored form has its centre of mass integrated in
+    closed form (see moments): each line's Gaussian becomes, with the
+    x-linear exponents, a pair factor exp((t/2n) lam_i lam_j (w_i - w_j)^2)
+    multiplied into the line pair's tables and a linear exponent per line,
+    and the term pins line 0, the largest cluster.  The full cluster keeps
+    no grid line: its term is the closed form.  pinned=False gives the form
+    with every line on the grid, the tests' oracle.
 """
 
 from __future__ import annotations
@@ -60,7 +67,7 @@ from .errors import NearSingularityError, NumericsError, UnsupportedDimensionErr
 from .partitions import Partition, cluster_slots
 from .quadrature import Interleavings, Placement, _node_differences
 from .scaled import ScaledComplex
-from .spectral import SpacePoints
+from .spectral import SpacePoints, lyapunov_exponent, sorted_pairing_exponent
 
 DEFAULT_MIN_SEPARATION = 1e-8
 MAX_DIRECT_SIZE = 9  # generic-point kernel: n! terms
@@ -458,7 +465,61 @@ def _frozen(values, dtype):
     return out
 
 
-def cluster_integrand_batch(t, x, partition: Partition):
+def _full_cluster_log(t, pts: SpacePoints) -> float:
+    """log of the full-cluster integral in closed Gaussian form,
+    (n-1)!/sqrt(2 pi n t) exp(n(n^2-1)/24 t + sum_i x_(i)((n+1)/2 - i)
+    - (sum x)^2/(2 n t))."""
+    n = pts.n
+    s = sum(pts.coords)
+    return (
+        float(lyapunov_exponent(n)) * t
+        + sorted_pairing_exponent(pts)
+        - s * s / (2.0 * n * t)
+        + math.lgamma(n)
+        - 0.5 * math.log(2.0 * math.pi * n * t)
+    )
+
+
+@lru_cache(maxsize=None)
+def _line_pair_weights(parts: tuple[int, ...], pairs: tuple) -> tuple:
+    """(lam_i lam_j per distinct line pair of `pairs`, the first table row on
+    each, and per table row the index of its pair in that list); both None
+    where every row has a pair of its own."""
+    first = [r for r, pair in enumerate(pairs) if pair not in pairs[:r]]
+    weights = _frozen([parts[pairs[r][0]] * parts[pairs[r][1]] for r in first], float)
+    if len(first) == len(pairs):
+        return weights, None, None
+    index = [first.index(pairs.index(pair)) for pair in pairs]
+    return weights, _frozen(first, int), _frozen(index, int)
+
+
+def _relative_gaussian(t, parts, pairs, total):
+    """The centre of mass of a term integrated in closed form, for tables
+    on line pairs `pairs` and B = `total`, the sum over lines of each line's
+    w-linear coefficient, the same on every path.  Returns g(d) ->
+    (factors, log): per table row, d its node differences w_i - w_j and
+    a = Re d, exp((t/2n) lam_i lam_j (d^2 - a^2)), at most 1 in modulus, the
+    same for every row of a line pair; and the log-scale, the peaks
+    exp((t/2n) lam_i lam_j a^2), once per line pair, times the closed-form
+    factor exp(-B^2/(2nt)) / sqrt(2 pi n t)."""
+    n, total = sum(parts), float(total)
+    weights, first, index = _line_pair_weights(tuple(parts), tuple(pairs))
+    coeff = (0.5 * t / n) * weights
+    column = coeff[:, None]
+    centre = -total * total / (2.0 * n * t) - 0.5 * math.log(2.0 * math.pi * n * t)
+
+    def g(d):
+        if first is not None:
+            d = d[first]
+        a, y = d.real[:, :1], d.imag
+        gauss = np.exp(column * y * (2j * a - y))
+        a = a[:, 0]
+        return (gauss if index is None else gauss[index]), centre + float(coeff @ (a * a))
+
+    return g
+
+
+def cluster_integrand_batch(t, x, partition: Partition, *, pinned=True):
     """Factored integrand f(Z) -> Interleavings for integrate_tensor, Z of
     shape (l, N) holding each line's base points: the sum over the surviving
     permutations as a recursion over placements (see _placements).
@@ -471,15 +532,33 @@ def cluster_integrand_batch(t, x, partition: Partition):
     d = w_i - w_j, times the cross-cluster ratios between the two clusters,
     all in the table the first of the two lines to close multiplies in.
 
+    Pinned (the default), the term is that form with its centre of mass
+    integrated in closed form (see moments): line k closes with
+    exp(b'_k w + d'), b'_k = c + t lambda_k (lambda_k - 1)/2 - B lambda_k/n
+    and d' = d + (t/2) sum_o o^2, B = sum x + t sum_k lambda_k (lambda_k -
+    1)/2; the tables carry the relative Gaussian (see _relative_gaussian);
+    and line 0 is pinned.  A single cluster is its closed form,
+    moments.top_cluster_closed_form.  pinned=False sums every line on the
+    grid: the tests' oracle.
+
     f relies on the grid invariant of quadrature: Z[k] = re_k + 1j*y on one
     shared uniform y.  Each table is then formed once per node offset, 2N-1
     values, and returned as that offset vector.
     """
-    x_sorted = SpacePoints.of(x).ordered
+    pts = SpacePoints.of(x)
+    x_sorted = pts.ordered
     if len(x_sorted) != partition.n:
         raise ValueError(f"got {len(x_sorted)} points for partition of {partition.n}")
     parts = partition.parts
     ell = len(parts)
+    if pinned and ell == 1:
+        log = _full_cluster_log(t, pts)
+
+        def f(Z):
+            return Interleavings.product((np.zeros(Z.shape[1], dtype=complex),),
+                                         log_scale=log, pinned=0)
+
+        return f
     graph = _placements(parts)
     coef = graph.scalar / (partition.multiplicity * math.prod(parts))
     # per line and exponent row, padded to the most rows any line has: the
@@ -496,21 +575,36 @@ def cluster_integrand_batch(t, x, partition: Partition):
     c, d = np.array(c)[..., None], np.array(d)[..., None]
     lower, upper = (np.array([pair[s] for pair in graph.pairs], dtype=int) for s in (0, 1))
     (num_sign, num_shift), (den_sign, den_shift) = graph.num, graph.den
+    if pinned:
+        lam = np.array(parts, dtype=float)[:, None, None]
+        grow = lam * (lam - 1.0) / 2.0
+        total = sum(x_sorted) + t * float(grow.sum())
+        lin = c + (t * grow - total * lam / partition.n)
+        const = d + (0.5 * t) * (lam - 1.0) * lam * (2.0 * lam - 1.0) / 6.0  # sum_o o^2
+        relative = _relative_gaussian(t, parts, graph.pairs, total)
 
     def f(Z):
-        quad = Z * Z
-        for off, r in graph.grow:
-            z = Z[:r] + off
-            quad[:r] += z * z
-        quad = (0.5 * t) * quad
-        exps = quad[:, None, :] + c * Z[:, None, :] + d
+        if pinned:
+            exps = lin * Z[:, None, :] + const
+        else:
+            quad = Z * Z
+            for off, r in graph.grow:
+                z = Z[:r] + off
+                quad[:r] += z * z
+            quad = (0.5 * t) * quad
+            exps = quad[:, None, :] + c * Z[:, None, :] + d
         exponents = tuple(exps[k, :n] for k, n in enumerate(rows))
         tables = np.empty((0, 2 * Z.shape[1] - 1), dtype=complex)
+        log = 0.0
         if ell > 1:
-            diffs = _node_differences(Z[lower], Z[upper])[:, None, :]
-            den = diffs * den_sign + den_shift
+            diffs = _node_differences(Z[lower], Z[upper])
+            den = diffs[:, None, :] * den_sign + den_shift
             _refuse_poles(den[graph.pole_mask], graph.pole_keys, DEFAULT_MIN_SEPARATION)
-            tables = (diffs * num_sign + num_shift).prod(axis=1) / den.prod(axis=1)
-        return Interleavings(graph.steps, exponents, tables, graph.pairs, coef)
+            tables = (diffs[:, None, :] * num_sign + num_shift).prod(axis=1) / den.prod(axis=1)
+            if pinned:
+                gauss, log = relative(diffs)
+                tables *= gauss
+        return Interleavings(graph.steps, exponents, tables, graph.pairs, coef, log,
+                             0 if pinned else None)
 
     return f

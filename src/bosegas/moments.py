@@ -22,11 +22,31 @@ line k carrying x_(k), with its poles 1 + (j-i) eps > 1 from the grid;
 kernel.cluster_integrand_batch of 1^n, the sum over all n! orders, stays as
 its oracle.
 
+Centre of mass: on every term, line k carries exp(lambda_k (t/2) w_k^2 +
+b_k w_k + const) and every table depends on w_i - w_j only (the Galilean
+invariance of the delta-Bose Hamiltonian, whose centre of mass moves
+freely).  With c = sum_k lambda_k w_k / n and B = sum_k b_k = sum x + t
+sum_k lambda_k (lambda_k - 1)/2, the same on every interleaving,
+
+    sum_k lambda_k (t/2) w_k^2 + b_k w_k = (n t/2) c^2 + B c
+        + sum_{i<j} (t/2n) lambda_i lambda_j (w_i - w_j)^2
+        + sum_k (b_k - B lambda_k / n) w_k,
+
+the last linear exponents summing to 0.  The integral over c on a vertical
+line is the factor exp(-B^2/(2nt)) / sqrt(2 pi n t), whatever the other
+lines do, so both routes integrate it in closed form: the tables take the
+relative Gaussian, each line its linear exponent, and line 0 is pinned at
+y = 0 (see Pinned line in quadrature), so an l-line term runs on l - 1 grid
+lines and the full cluster (n) on none: it is top_cluster_closed_form.  The
+relative lines w_k - w_0 sit at the same abscissa gaps as before, so the
+poles keep their distances and theta moves only the closed-form line.
+
 Plans: given no explicit ContourPlan the integration grid is sized
-automatically from what the integrand is known to do — per-line Gaussian
-decay rates lambda_k t / 2 fix the truncation T, and the analyticity strip
-(the summed kernel is entire; only cluster-matrix poles at vertical distance
-min |lambda_i - (j-i) eps| remain) fixes the node spacing.
+automatically from what the integrand is known to do — the relative
+Gaussian's marginal decay rate of each grid line fixes the truncation T,
+and the analyticity strip (the summed kernel is entire; only cluster-matrix
+poles at vertical distance min |lambda_i - (j-i) eps| remain) fixes the
+node spacing.
 """
 
 from __future__ import annotations
@@ -37,7 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearSingularityError, NumericsError, UnsupportedDimensionError
-from .kernel import DEFAULT_MIN_SEPARATION, cluster_integrand_batch
+from .kernel import (DEFAULT_MIN_SEPARATION, _full_cluster_log, _relative_gaussian,
+                     cluster_integrand_batch)
 from .partitions import Partition, enumerate_partitions
 from .quadrature import (
     MAX_LINES,
@@ -49,14 +70,14 @@ from .quadrature import (
     integrate_tensor,
 )
 from .scaled import ScaledComplex
-from .spectral import (SpacePoints, log_ground_state, lyapunov_exponent, optimal_theta,
-                       sorted_pairing_exponent)
+from .spectral import SpacePoints, log_ground_state, lyapunov_exponent, optimal_theta
 
 MAX_TOP_SIZE = 9  # single full-cluster integral
 TAIL_TOL = 1e-12
 TAIL_SAFETY = 20.0  # log-margin absorbing non-Gaussian prefactors
 _STEP_TOL = {1: 1e-16, 2: 1e-14, 3: 1e-10, 4: 3e-7}
 _MIN_NODES = 65
+_MIN_NORMAL = 2.0 ** -1022  # the smallest double with a full 53-bit mantissa
 
 
 @dataclass(frozen=True)
@@ -90,16 +111,34 @@ def default_epsilon(n: int) -> float:
     return min(1.0 / (2.0 * (n - 1)), 0.1)
 
 
+def _line_rates(t: float, parts) -> tuple:
+    """Per line, the Gaussian decay rate of a term whose centre of mass is
+    integrated in closed form with line 0 pinned: line k >= 1 decays at the
+    marginal rate (t/2) lam_k lam_0 / (lam_k + lam_0) of the relative
+    Gaussian (one over the diagonal of its inverse, which holds 2/(t lam_k)
+    + 2/(t lam_0)), and line 0 at n t/2, the centre of mass's."""
+    lam0 = parts[0]
+    return (0.5 * t * sum(parts),) + tuple(0.5 * t * lam * lam0 / (lam + lam0)
+                                           for lam in parts[1:])
+
+
+def _plan_rates(t: float, parts) -> tuple:
+    """The decay rates that size a term's plan: its grid lines', or for a
+    single line, pinned and summed on no grid, its own (_line_rates)."""
+    rates = _line_rates(t, parts)
+    return rates[1:] or rates
+
+
 def _grid_size(lines: int, rates, pole_distance: float, nodes=None, half_width=None):
-    """(half_width, nodes) for a plan of `lines` lines with Gaussian decay
-    rates `rates`, keeping either one given.  T puts the slowest line's tail
-    below TAIL_TOL, TAIL_SAFETY nats to spare.  The spacing is the largest
-    meeting the step tolerance of that many lines (of MAX_LINES, beyond it)
-    for both error mechanisms, the fastest decay and the nearest pole; N is
-    the odd node count, at least _MIN_NODES, that covers [-T, T] at that
-    spacing.  Raises NumericsError for a decay rate of 0 or a T beyond the
-    floats, as a subnormal t gives."""
-    if not min(rates) > 0:
+    """(half_width, nodes) for a plan of `lines` lines whose grid lines
+    decay at `rates`, keeping either one given.  T puts the slowest line's
+    tail below TAIL_TOL, TAIL_SAFETY nats to spare.  The spacing is the
+    largest meeting the step tolerance of that many lines (of MAX_LINES,
+    beyond it) for both error mechanisms, the fastest decay and the nearest
+    pole; N is the odd node count, at least _MIN_NODES, that covers [-T, T]
+    at that spacing.  Raises NumericsError for a decay rate below the normal
+    floats, which has lost bits, or a T beyond them, as a subnormal t gives."""
+    if not min(rates) >= _MIN_NORMAL:
         raise NumericsError(f"Gaussian decay rate {min(rates):.6g} underflows; t is too small")
     if half_width is None:
         half_width = math.sqrt((math.log(1.0 / TAIL_TOL) + TAIL_SAFETY) / min(rates))
@@ -119,6 +158,10 @@ def _grid_size(lines: int, rates, pole_distance: float, nodes=None, half_width=N
 def cluster_pole_distance(p: Partition, eps: float) -> float:
     """Vertical distance from the contour product to the nearest cluster-matrix
     pole: min over i != j of |lambda_i - (j - i) eps|.  inf for one line.
+
+    The poles sit at fixed values of w_i - w_j, so integrating the centre
+    of mass in closed form leaves these distances as they are: the relative
+    line w_k - w_0 lies at the gap (k - 0) eps from the pinned one.
 
     For 1+...+1 this is 1 - (n-1) eps, a pole of the kernel's sum over
     orders that the route no longer forms: its one nested order has its
@@ -140,16 +183,17 @@ def auto_cluster_plan(t: float, p: Partition, x, nodes: int | None = None,
     """Size a contour plan for one cluster integral.
 
     theta defaults to the envelope-minimizing abscissa shifted by -sum(x)/(nt),
-    which centers the dominant Gaussian saddle for off-origin points.
+    which centers the dominant Gaussian saddle for off-origin points.  The
+    route integrates the centre of mass in closed form, so theta moves only
+    that pinned line, and the value does not depend on it.
     """
     pts = SpacePoints.of(x)
     n = p.n
     eps = default_epsilon(n) if epsilon is None else float(epsilon)
     if theta is None:
         theta = float(optimal_theta(p)) - sum(pts.coords) / (n * t)
-    rates = [lam * t / 2.0 for lam in p.parts]
-    half_width, nodes = _grid_size(p.length, rates, cluster_pole_distance(p, eps),
-                                   nodes, half_width)
+    half_width, nodes = _grid_size(p.length, _plan_rates(t, p.parts),
+                                   cluster_pole_distance(p, eps), nodes, half_width)
     return ContourPlan(theta=float(theta), epsilon=eps, half_width=float(half_width),
                        nodes_per_line=int(nodes))
 
@@ -175,13 +219,19 @@ def cluster_integral(req: MomentRequest, p: Partition) -> QuadratureResult:
                 f"need 0 < epsilon < 1/(n-1) = {hi:.6g} for {p.length} lines at n={p.n}, "
                 f"got {plan.epsilon}"
             )
+        # theta moves no value, but the lines' gaps must survive rounding
+        # at its magnitude
+        lines = [plan.theta + plan.epsilon * k for k in range(p.length)]
+        if any(abs(b - a - plan.epsilon) >= 0.5 * plan.epsilon
+               for a, b in zip(lines, lines[1:])):
+            raise NumericsError(f"contour lines at theta {plan.theta:.6g} lose their offset "
+                                f"epsilon {plan.epsilon:.6g} to rounding")
     if p.length >= 2 and p.parts[0] == 1:
         # 1+...+1: one order of the nested integrand (see the module docstring)
         f = _nested_integrand(req.t, np.asarray(req.x.ordered))
     else:
         f = cluster_integrand_batch(req.t, req.x, p)
-    rates = tuple(lam * req.t / 2.0 for lam in p.parts)
-    return integrate_tensor(f, plan, p.length, decay_rates=rates)
+    return integrate_tensor(f, plan, p.length, decay_rates=_line_rates(req.t, p.parts))
 
 
 def cluster_breakdown(req: MomentRequest,
@@ -231,13 +281,35 @@ def moment_partition_sum(req: MomentRequest) -> QuadratureResult:
 
 
 def top_cluster_integral(req: MomentRequest) -> QuadratureResult:
-    """Only the full-cluster term lambda = (n): one line, feasible to n = 9."""
+    """Only the full-cluster term lambda = (n), to n = 9: its one line is
+    the centre of mass, so it is the closed form, with no error."""
     return cluster_integral(req, Partition((req.n,)))
 
 
 def heat_kernel(t: float, x: float) -> float:
     """The n = 1 moment: e^{-x^2/(2t)} / sqrt(2 pi t)."""
     return math.exp(-x * x / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)
+
+
+def _erfcx(u: float) -> float:
+    """e^{u^2} erfc(u), the scaled complementary error function, to a few
+    ulps: erfc(u) e^{u^2} up to u = 26, with u^2 split exactly into hi + lo
+    (Dekker) so that e^{u^2} carries no rounding of u^2, and beyond, where
+    erfc(u) underflows, its asymptotic series
+    1/(u sqrt(pi)) sum_k (-1)^k (2k-1)!! / (2u^2)^k."""
+    if u <= 26.0:
+        hi = u * u
+        big = u * 134217729.0  # 2^27 + 1
+        uh = big - (big - u)
+        ul = u - uh
+        lo = ((uh * uh - hi) + 2.0 * uh * ul) + ul * ul
+        return math.erfc(u) * math.exp(hi) * (1.0 + lo)
+    total, term, k = 1.0, 1.0, 1
+    while abs(term) > 1e-17:
+        term *= -(2 * k - 1) / (2.0 * u * u)
+        total += term
+        k += 1
+    return total / (u * math.sqrt(math.pi))
 
 
 def two_point_moment(t: float, x1: float, x2: float) -> float:
@@ -248,13 +320,14 @@ def two_point_moment(t: float, x1: float, x2: float) -> float:
         e^{-(x1^2 + x2^2)/(2t)} / (2 pi t)
         * [1 + (sqrt(pi t)/2) e^{beta^2 t/4} (1 + erf(beta sqrt(t)/2))].
 
-    Plain floats, so it underflows once the Gaussian factor does.
+    The bracket is evaluated as 1 + (sqrt(pi t)/2) erfcx(-beta sqrt(t)/2),
+    erfcx(u) = e^{u^2} erfc(u): at large separation 1 + erf cancels, and
+    e^{beta^2 t/4} would magnify what is left.  Plain floats, so it
+    underflows once the Gaussian factor does.
     """
     beta = 1.0 - abs(x2 - x1) / t
     gauss = math.exp(-(x1 * x1 + x2 * x2) / (2.0 * t)) / (2.0 * math.pi * t)
-    bracket = 1.0 + 0.5 * math.sqrt(math.pi * t) * math.exp(beta * beta * t / 4.0) * (
-        1.0 + math.erf(beta * math.sqrt(t) / 2.0))
-    return gauss * bracket
+    return gauss * (1.0 + 0.5 * math.sqrt(math.pi * t) * _erfcx(-0.5 * beta * math.sqrt(t)))
 
 
 def top_cluster_closed_form(t: float, x) -> ScaledComplex:
@@ -263,17 +336,7 @@ def top_cluster_closed_form(t: float, x) -> ScaledComplex:
     (n-1)!/sqrt(2 pi n t) * exp( n(n^2-1)/24 t + sum_i x_(i)((n+1)/2 - i)
                                  - (sum x)^2 / (2 n t) ).
     """
-    pts = SpacePoints.of(x)
-    n = pts.n
-    s = sum(pts.coords)
-    log = (
-        float(lyapunov_exponent(n)) * t
-        + sorted_pairing_exponent(pts)
-        - s * s / (2.0 * n * t)
-        + math.lgamma(n)
-        - 0.5 * math.log(2.0 * math.pi * n * t)
-    )
-    return ScaledComplex.from_log(log)
+    return ScaledComplex.from_log(_full_cluster_log(t, SpacePoints.of(x)))
 
 
 def leading_asymptotic(t: float, x) -> ScaledComplex:
@@ -314,9 +377,14 @@ def default_abscissas(n: int, t: float, x):
     return a
 
 
-def _nested_integrand(t, x_sorted):
+def _nested_integrand(t, x_sorted, pinned=True):
     """Factored nested integrand: line k carries exp(t/2 w^2 + x_(k) w), each
     pair i < j the table (w_i - w_j)/(w_i - w_j - 1).
+
+    Pinned (the default), its centre of mass is integrated in closed form
+    (see the module docstring): line k carries exp((x_(k) - sum x / n) w),
+    the tables the relative Gaussian (kernel._relative_gaussian), and line 0
+    is pinned.  pinned=False sums every line on the grid: the tests' oracle.
 
     f relies on the grid invariant of quadrature: Z[k] = re_k + 1j*y on one
     shared uniform y.  Each table and its pole check are then formed once
@@ -327,9 +395,13 @@ def _nested_integrand(t, x_sorted):
     pairs = tuple((i, j) for i in range(npts) for j in range(i + 1, npts))
     lower, upper = (np.array([pair[s] for pair in pairs], dtype=int) for s in (0, 1))
     x_col = np.asarray(x_sorted, dtype=float)[:, None]
+    if pinned:
+        total = sum(x_sorted)
+        x_col = x_col - total / npts
+        relative = _relative_gaussian(t, (1,) * npts, pairs, total)
 
     def f(Z):
-        exps = (0.5 * t) * (Z * Z) + x_col * Z
+        exps = x_col * Z if pinned else (0.5 * t) * (Z * Z) + x_col * Z
         d = _node_differences(Z[lower], Z[upper])
         den = d - 1.0
         # poles sit at pair gaps of exactly 1; the plan keeps them at
@@ -340,19 +412,25 @@ def _nested_integrand(t, x_sorted):
                 f"nested contours came within {closest:.3e} of a pole "
                 f"(floor {DEFAULT_MIN_SEPARATION:.1e})"
             )
-        return Interleavings.product(exps, pairs, d / den)
+        tables, log = d / den, 0.0
+        if pinned:
+            gauss, log = relative(d)
+            tables *= gauss
+        return Interleavings.product(exps, pairs, tables, log_scale=log,
+                                     pinned=0 if pinned else None)
 
     return f
 
 
 def auto_nested_plan(t: float, abscissas, nodes: int | None = None,
                      half_width: float | None = None) -> ContourPlan:
-    """Grid sized from the pole distance min |gap - 1| and decay rate t/2."""
+    """Grid sized from the pole distance min |gap - 1| and the decay rate
+    t/4 of each grid line once the centre of mass is integrated out."""
     a = tuple(float(v) for v in abscissas)
     n = len(a)
     dist = min((abs((a[i] - a[j]) - 1.0) for i in range(n) for j in range(i + 1, n)),
                default=math.inf)
-    half_width, nodes = _grid_size(n, (t / 2.0,), dist, nodes, half_width)
+    half_width, nodes = _grid_size(n, _plan_rates(t, (1,) * n), dist, nodes, half_width)
     return ContourPlan(theta=a[0], epsilon=(a[1] - a[0]) if n > 1 else 0.0,
                        half_width=half_width, nodes_per_line=int(nodes))
 
@@ -384,8 +462,7 @@ def moment_nested_contours(req: MomentRequest, abscissas=None, **overrides) -> Q
     plan = req.plan or auto_nested_plan(req.t, a, **overrides)
     x_sorted = np.asarray(req.x.ordered)
     f = _nested_integrand(req.t, x_sorted)
-    rates = (req.t / 2.0,) * n
-    return integrate_tensor(f, plan, n, decay_rates=rates, abscissas=a)
+    return integrate_tensor(f, plan, n, decay_rates=_line_rates(req.t, (1,) * n), abscissas=a)
 
 
 # --- asymptotic comparison ------------------------------------------------

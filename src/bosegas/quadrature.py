@@ -19,6 +19,23 @@ the offset vector g, never T.  _node_differences forms w_i - w_j once per
 offset and the integrand does its arithmetic on those vectors.  Reversing g
 transposes T, and since N is odd g[::2] is the coarse grid's offset vector.
 
+Pinned line: a term may hold one line, Interleavings.pinned, at its middle
+node y = 0 with weight 1 instead of summing it.  That is the form of an
+integrand whose factors depend on the lines only through w_i - w_j once a
+Gaussian in their weighted mean has been integrated in closed form (see
+moments): the closed-form factor rides in coef and the log-scale, and
+w_k - w_pinned runs over the vertical line at re_k - re_pinned, which is
+what the grid sums with the pinned line at y = 0.  The other lines are the
+grid lines.  No message has an axis for the pinned line: its exponent rows
+are scalars, and a table joining it to grid line u is a per-node vector of
+u, the table's row or column at the middle node.  The step that closes u
+multiplies that vector into u's vector; the step that closes the pinned
+line multiplies the message by its row's scalar and by those vectors along
+their lines' axes.  Out of the start that product is never formed: the
+vectors go on as per-line multipliers to the steps out of the state
+reached, and each elimination takes its own line's into its vector and the
+others' into its result.  The coarse grid keeps the pinned line at y = 0.
+
 A term travels compact: per line one (rows, N) array of exponents, a row per
 way the line can close, and its tables stacked as one (K, 2N-1) array of
 offset vectors, beside `pairs`, the line pair (i, j), i < j, of each table
@@ -30,9 +47,9 @@ The trapezoid sum over the N**lines grid is a recursion over the placement
 states (variable elimination, as in opt_einsum, shared between orders as in
 Held & Karp's subset recursion).  Every step closes a line, so the states
 are the start and every state a line closes into.  A state's message is a
-dense array over the lines still open, and the start has none: a table
+dense array over the grid lines still open, and the start has none: a table
 enters whole, at the step that closes the first of its two lines, so no
-message carries one.  A step that closes line k multiplies in
+message carries one.  A step that closes grid line k multiplies in
 line k's vector and its tables to the open lines and sums w_k out: a plain
 sum at one line, one convolution of the offset vector with the line's vector
 at two (so a two-line term never forms an N x N array), one N^3 matmul at
@@ -46,36 +63,38 @@ three-line message is ever held whole: the step that closes one of four
 open lines forms its N^3 result in blocks of rows that fit in cache, and
 hands each block at once to every step out of the state it reaches, each
 of which adds the block's share into its N x N message.  So no array spans
-three lines.  Nothing visits the grid node by node.
+three lines.  Nothing visits the grid node by node.  Line counts here are
+grid lines: a pinned term of l lines does the work of l - 1.
 
 Reflection: every integrand this package forms is real on the real axis,
 f(conj w) = conj f(w), for t, the points, the line abscissas and every shift
 in the kernel are real; and y is symmetric about 0, so node N-1-a of a line
-is the conjugate of node a.  Reversing every line's nodes therefore
-conjugates each product of factors, and any line L's half of the grid with
-a_L > m = (N-1)/2 sums to the conjugate of its half with a_L < m, while the
-slice a_L = m is its own conjugate.  So the sum over any set of paths is
-2 Re of its sum over a_L <= m with weight 1/2 at a_L = m, and since that is
-linear, each step out of the start may restrict a line of its own.  A term
-of three or more lines restricts rest[0], the first line its first step
-leaves open: the line the four-line blocks of rows run over, and the row
-line of the three-line start's matmul.  So every first elimination does
-half its work, the later steps run on messages whose rows past the first
-ceil(N/2) are 0, and the term's sum is 2 Re of the recursion's.  The coarse
-grid has (N+1)/2 nodes, an even count when N = 3 mod 4, and then no middle
-node.  One- and two-line terms, O(N^2) work, sum the whole grid.  The
-identity needs exponent rows and tables that are conjugate under node
-reversal; _vet_reflection refuses a term of three or more lines whose
-factors are not.
+is the conjugate of node a, and a pinned line's middle node is real.
+Reversing every grid line's nodes therefore conjugates each product of
+factors, and any grid line L's half of the grid with a_L > m = (N-1)/2 sums
+to the conjugate of its half with a_L < m, while the slice a_L = m is its
+own conjugate.  So the sum over any set of paths is 2 Re of its sum over
+a_L <= m with weight 1/2 at a_L = m, and since that is linear, each first
+elimination may restrict a line of its own.  A term of three or more grid
+lines restricts rest[0], the first line its first elimination leaves open:
+the line the four-line blocks of rows run over, and the row line of the
+three-line start's matmul.  So every first elimination does half its work,
+the later steps run on messages whose rows past the first ceil(N/2) are 0,
+and the term's sum is 2 Re of the recursion's.  The coarse grid has (N+1)/2
+nodes, an even count when N = 3 mod 4, and then no middle node.  One- and
+two-line terms, O(N^2) work, sum the whole grid.  The identity needs
+exponent rows and tables that are conjugate under node reversal;
+_vet_reflection refuses a term of three or more grid lines whose factors
+are not.
 
 Scaling: each line's vectors are exp(1j Im e) * weight * exp(Re e - s_k) with
 s_k the largest Re e over every exponent that line can carry, so a term's
-value is its recursion sum times exp(sum_k s_k), one scalar log-scale,
-returned as a ScaledComplex.
+value is its recursion sum times exp(log_scale + sum_k s_k), one scalar
+log-scale, returned as a ScaledComplex.
 
 Two error diagnostics ride along (estimates, not enclosures):
   * tail_bound   - relative Gaussian tail mass erfc(sqrt(a_k) T) summed over
-                   lines, from the declared decay rates a_k;
+                   grid lines, from the declared decay rates a_k;
   * step_estimate- relative difference against the embedded every-other-node
                    grid (the same recursion on exponent and table stacks
                    strided [:, ::2], weights doubled), a conservative bound
@@ -94,11 +113,12 @@ from .errors import NumericsError, UnsupportedDimensionError
 from .scaled import ScaledComplex, rel_diff
 
 _TWO_PI = 2.0 * math.pi
-MAX_LINES = 4
+MAX_LINES = 4  # grid lines: a term with a pinned line may have one line more
 # Largest message a plan may imply, in complex values: N^3 at four lines,
 # N^2 at three.  The N^3 message is streamed in blocks of rows, never stored,
 # so it bounds work there, not memory.  Plans of two lines are held to the
-# N^2 limit too.
+# N^2 limit too.  A pinned term is held to the limit of its count of lines,
+# one more than its grid lines: N^(lines-1) is then its work.
 MAX_ARRAY_VALUES = 1 << 24
 # Longest inner dimension handed to one BLAS matmul.  Past 128, OpenBLAS
 # (0.3.31) splits the inner sum differently at different thread counts, which
@@ -168,7 +188,9 @@ class Interleavings:
     its two lines.  exponents holds per line a (rows, N) complex array, one
     row per way the line can close; tables is the (K, 2N-1) stack of offset
     vectors, row r the table T[a, b] = tables[r, a - b + N - 1] on the line
-    pair (i, j) = pairs[r], i < j, indexed (node on i, node on j).
+    pair (i, j) = pairs[r], i < j, indexed (node on i, node on j).  The
+    sum is multiplied by exp(log_scale).  pinned, if not None, is the line
+    held at its middle node y = 0 (see Pinned line in the module docstring).
     """
 
     steps: tuple
@@ -176,9 +198,12 @@ class Interleavings:
     tables: np.ndarray
     pairs: tuple
     coef: complex = 1.0
+    log_scale: float = 0.0
+    pinned: int | None = None
 
     @classmethod
-    def product(cls, exponents, pairs=(), tables=None, coef=1.0) -> Interleavings:
+    def product(cls, exponents, pairs=(), tables=None, coef=1.0, log_scale=0.0,
+                pinned=None) -> Interleavings:
         """coef * prod_k exp(exponents[k][a_k]) * prod_r T_r[a_i, a_j], (i, j) = pairs[r],
         as a one-path sum: lines close last to first, each taking its tables
         to the lines still open.
@@ -186,7 +211,7 @@ class Interleavings:
         exponents holds one length-N complex array per line.  pairs lists line
         pairs (i, j), i < j, and tables[r] is pair r's offset vector of length
         2N-1: T_r[a, b] = tables[r][a - b + N - 1] (see the grid invariant).  A
-        pair not listed contributes 1.
+        pair not listed contributes 1.  log_scale and pinned are the fields'.
         """
         exponents = tuple(np.asarray(e)[None, :] for e in exponents)
         pairs = tuple(pairs)
@@ -197,7 +222,7 @@ class Interleavings:
         ) + ((),)
         if not pairs:
             tables = np.empty((0, 2 * exponents[0].shape[1] - 1), dtype=complex)
-        return cls(steps, exponents, tables, pairs, coef)
+        return cls(steps, exponents, tables, pairs, coef, log_scale, pinned)
 
 
 def _grid_1d(plan: ContourPlan):
@@ -282,23 +307,44 @@ def check_grid_size(plan: ContourPlan, num_lines: int):
         )
 
 
-def _line_vectors(exponents, w, Z):
+def _line_vectors(term: Interleavings, w, Z):
     """Per line, the closing vectors exp(1j Im e) * w * exp(Re e - s_k), one
     row per exponent row, and the sum of the log-scales s_k, each the largest
-    Re e over line k's exponents."""
+    Re e over line k's exponents.  The pinned line's rows are taken at its
+    middle node with weight 1: one scalar per row."""
+    mid = Z.shape[1] // 2
     vectors, log = [], 0.0
-    for k, e in enumerate(exponents):
+    for k, e in enumerate(term.exponents):
+        weight = w
+        if k == term.pinned:
+            e, weight = e[:, mid:mid + 1], 1.0
         finite = np.isfinite(e)
         if not finite.all():
-            j = int(np.argmin(finite)) % e.shape[1]
+            j = mid if k == term.pinned else int(np.argmin(finite)) % e.shape[1]
             raise NumericsError(
                 f"integrand factor not finite on line {k + 1} at w_{k + 1}={Z[k, j]:.6g}, "
                 f"grid indices [{j}]"
             )
         s = float(e.real.max())
-        vectors.append(np.exp(1j * e.imag) * w * np.exp(e.real - s))
+        v = np.exp(1j * e.imag) * weight * np.exp(e.real - s)
+        vectors.append(v[:, 0] if k == term.pinned else v)
         log += s
     return vectors, log
+
+
+def _pinned_vectors(term: Interleavings):
+    """Each table joining the pinned line to a grid line u, as the per-node
+    vector of u with the pinned line at its middle node m: row m of T for
+    the pair (pinned, u), column m for (u, pinned).  Table row -> vector."""
+    n = (term.tables.shape[1] + 1) // 2
+    m = n // 2
+    out = {}
+    for r, (i, j) in enumerate(term.pairs):
+        if term.pinned == i:  # T[m, b] = g[m - b + N - 1]
+            out[r] = term.tables[r, m:m + n][::-1]
+        elif term.pinned == j:  # T[a, m] = g[a - m + N - 1]
+            out[r] = term.tables[r, m:m + n]
+    return out
 
 
 def _vet_tables(term: Interleavings, Z):
@@ -320,14 +366,25 @@ def _vet_tables(term: Interleavings, Z):
 def _vet_steps(term: Interleavings):
     """Refuse a term the recursion would drop a table of: every table a step
     names must join the step's line to another line, at most one per line
-    pair."""
-    for steps in term.steps:
+    pair.  Refuse too a pinned line that closes with more than two grid
+    lines open, but for three at the start: a three-line message is only
+    ever streamed, and a start of four takes no multipliers."""
+    open_at = {0: len(term.exponents) - (term.pinned is not None)}
+    for state, steps in enumerate(term.steps):
         for step in steps:
             pairs = [term.pairs[r] for r in step.tables]
             if len(set(pairs)) < len(pairs) or not all(step.line in pair for pair in pairs):
                 raise ValueError(
                     f"a step closing line {step.line} into state {step.dst} names tables on "
                     f"line pairs {pairs}; it may name one per pair of its line")
+            if state not in open_at:
+                continue
+            if step.line == term.pinned and open_at[state] > (3 if state == 0 else 2):
+                raise ValueError(
+                    f"the pinned line {step.line} closes into state {step.dst} with "
+                    f"{open_at[state]} grid lines open; it may close with at most two open, "
+                    f"or three at the start")
+            open_at[step.dst] = open_at[state] - (step.line != term.pinned)
 
 
 def _unreflected(rows, floor):
@@ -459,29 +516,37 @@ def _sum_out(core, axis, v, facs):
     return np.einsum(spec, core, _square(facs[0]), v)
 
 
-# A message is (open, core): the lines not yet summed out, ascending (core's
-# axes once it exists), and core, None at the start, where no line is summed
-# out, then an array (a scalar at the end).  Every step closes a line and
-# carries its tables, so a message collects none: the step hands each table
-# straight to the elimination as a factor (g, view), its offset vector and
-# its (N, N) view (None where none was made), oriented (node on the closing
-# line, node on the other); reversing g and transposing the view flip it.  A
-# message over three lines is never held whole: it exists only as the blocks
-# that _stream_four hands on.
+# A message is (open, core): the grid lines not yet summed out, ascending
+# (core's axes once it exists), and core, None at the start, where no line
+# is summed out, then an array (a scalar at the end).  Every step closes a
+# line and carries its tables, so a message collects none: the step hands
+# each table straight to the elimination as a factor (g, view), its offset
+# vector and its (N, N) view (None where none was made), oriented (node on
+# the closing line, node on the other); reversing g and transposing the view
+# flip it.  A message over three lines is never held whole: it exists only
+# as the blocks that _stream_four hands on.  A start message may come with
+# per-line multipliers, `mults`, line -> vector, that the pinned line left
+# when it closed first (see _close_pinned).
 
 
-def _operands(open_, step, vectors, tables):
-    """A closing step's operands: the position of its line in open_, the
-    lines left open, the line's vector and its factors to those lines."""
+def _operands(open_, step, ctx, mults=None):
+    """A grid line's closing step's operands: the position of its line in
+    open_, the lines left open, the line's vector and its factors to those
+    lines.  Its tables to the pinned line, per-node vectors of the line, and
+    its multiplier from mults go into the vector."""
+    _, _, vectors, (stack, views, pairs), (pinned, pinned_vecs) = ctx
     k = step.line
-    stack, views, pairs = tables
     axis = open_.index(k)
     rest = open_[:axis] + open_[axis + 1:]
     v = vectors[k][step.closes]
+    if mults and k in mults:
+        v = v * mults[k]
     facs = [None] * len(rest)
     for r in step.tables:
         i, j = pairs[r]
-        if i == k:
+        if pinned in (i, j):
+            v = v * pinned_vecs[r]
+        elif i == k:
             facs[rest.index(j)] = (stack[r], views[r])
         else:
             facs[rest.index(i)] = (stack[r][::-1], None if views[r] is None else views[r].T)
@@ -491,32 +556,72 @@ def _operands(open_, step, vectors, tables):
     return axis, rest, v, facs
 
 
+def _along(core, lines, vecs):
+    """core times vecs[u] along the axis of each line u of core's `lines`
+    that vecs holds (a new array, or core itself if none)."""
+    for axis, u in enumerate(lines):
+        if u in vecs:
+            core = core * np.reshape(vecs[u], (-1,) + (1,) * (len(lines) - 1 - axis))
+    return core
+
+
 def _deposit(acc, state, msg):
     """Add a message into the state's sum."""
     prev = acc.get(state)
     acc[state] = msg if prev is None else (msg[0], prev[1] + msg[1])
 
 
-def _push(steps, msg, ctx):
+def _push(steps, msg, ctx, mults=None):
     """Send a message along the given steps, adding each result into its
-    state's sum.  Three or four lines are open only at the start of a term,
-    whose steps take the half grid of Reflection: a step that closes one of
-    four open lines streams its result (see _stream_four), and the steps out
-    of three open lines are taken together (see _start_three)."""
-    _, acc, vectors, tables = ctx
+    state's sum.  Three or four grid lines are open only at the start of a
+    term, whose steps take the half grid of Reflection: a step that closes
+    one of four open lines streams its result (see _stream_four), and the
+    steps out of three open lines are taken together (see _start_three).
+    mults are the multipliers of a start message (see _close_pinned)."""
+    _, acc, _, _, (pinned, _) = ctx
     open_, core = msg
-    if len(open_) == 3:
-        _start_three(open_, steps, ctx)
-        return
+    grid_steps = []
     for step in steps:
+        if step.line == pinned:
+            _close_pinned(open_, core, step, ctx)
+        else:
+            grid_steps.append(step)
+    if len(open_) == 3:
+        _start_three(open_, grid_steps, ctx, mults)
+        return
+    for step in grid_steps:
         if len(open_) == 4:
             _stream_four(open_, step, ctx)
         else:
-            axis, rest, v, facs = _operands(open_, step, vectors, tables)
-            _deposit(acc, step.dst, (rest, _sum_out(core, axis, v, facs)))
+            axis, rest, v, facs = _operands(open_, step, ctx, mults)
+            out = _sum_out(core, axis, v, facs)
+            _deposit(acc, step.dst, (rest, _along(out, rest, mults) if mults else out))
 
 
-def _start_three(open_, steps, ctx):
+def _close_pinned(open_, core, step, ctx):
+    """Close the pinned line: its row's scalar, and its tables as per-node
+    vectors of the open lines they join, multiply the message.  At the start
+    that product over the open lines is not formed: it goes on at once to
+    the steps out of the state reached, as per-line multipliers, the scalar
+    on the first open line's."""
+    all_steps, acc, vectors, (_, _, pairs), (pinned, pinned_vecs) = ctx
+    scalar = vectors[pinned][step.closes]
+    vecs = {}
+    for r in step.tables:
+        i, j = pairs[r]
+        vecs[j if i == pinned else i] = pinned_vecs[r]
+    if core is not None:
+        _deposit(acc, step.dst, (open_, _along(core * scalar, open_, vecs)))
+    elif not open_:
+        _deposit(acc, step.dst, (open_, complex(scalar)))
+    else:
+        first = open_[0]
+        vecs[first] = (scalar * vecs[first] if first in vecs
+                       else np.full(vectors[first].shape[1], scalar))
+        _push(all_steps[step.dst], (open_, None), ctx, vecs)
+
+
+def _start_three(open_, steps, ctx, mults=None):
     """Close each first line of a three-line term: out[p, q] = sum_k v[k]
     F0[k, p] F1[k, q], one matmul per step over the first ceil(N/2) rows p
     of rest[0] only (see Reflection); the other rows stay 0.
@@ -526,16 +631,18 @@ def _start_three(open_, steps, ctx):
     thresholds to the largest mapped block freed, so after the first term
     the block and the term's smaller arrays stay on the heap instead of
     being returned and faulted in again."""
-    _, acc, vectors, tables = ctx
-    n = vectors[0].shape[1]
+    _, acc, vectors, _, _ = ctx
+    n = vectors[open_[0]].shape[1]
     half = (n + 1) // 2
     work = np.empty((1 + len(steps), n, n), dtype=complex)
     operand, outs = work[0, :half], work[1:]
     outs[:, half:] = 0.0
     for step, out in zip(steps, outs):
-        _, rest, v, facs = _operands(open_, step, vectors, tables)
+        _, rest, v, facs = _operands(open_, step, ctx, mults)
         np.multiply(_half_columns(_square(facs[0])).T, v, out=operand)  # (p, k)
         _matmul(operand, _square(facs[1]), out=out[:half])
+        if mults:
+            out[...] = _along(out, rest, mults)
         _deposit(acc, step.dst, (rest, out))
 
 
@@ -545,38 +652,40 @@ def _stream_four(open_, step, ctx):
     Reflection), and each block goes at once to every step out of the state
     it reaches; their two-line messages are added into their states' sums
     after the last block, in the order the steps are listed."""
-    all_steps, acc, vectors, tables = ctx
-    _, rest, v, facs = _operands(open_, step, vectors, tables)
+    all_steps, acc, _, _, _ = ctx
+    _, rest, v, facs = _operands(open_, step, ctx)
     facs[0] = (None, _half_columns(_square(facs[0])))
     sinks = []
     for sink in all_steps[step.dst]:
-        axis, lines, sink_v, sink_facs = _operands(rest, sink, vectors, tables)
+        axis, lines, sink_v, sink_facs = _operands(rest, sink, ctx)
         sinks.append((sink.dst, lines, *_three_line_sink(axis, sink_v, sink_facs)))
     _eliminate_four(v, facs, [take for *_, take in sinks])
     for dst, lines, out, _ in sinks:
         _deposit(acc, dst, (lines, out))
 
 
-def _sum_orders(term: Interleavings, vectors, tables):
+def _sum_orders(term: Interleavings, vectors, tables, pinned_vecs):
     """The term's sum over placement orders on one grid, before coef.  At
-    three or more lines the recursion sums half the grid and the sum is 2 Re
-    of its sum (see Reflection), a real number."""
-    acc = {0: (tuple(range(len(term.exponents))), None)}
+    three or more grid lines the recursion sums half the grid and the sum is
+    2 Re of its sum (see Reflection), a real number."""
+    grid = tuple(k for k in range(len(term.exponents)) if k != term.pinned)
+    acc = {0: (grid, None)}
     # every table's (N, N) view, made once per grid; at one or two lines no
     # table meets a dense message, so none is needed
-    views = _toeplitz_table(tables) if len(term.exponents) > 2 else (None,) * len(tables)
-    ctx = (term.steps, acc, vectors, (tables, views, term.pairs))
+    views = _toeplitz_table(tables) if len(grid) > 2 else (None,) * len(tables)
+    ctx = (term.steps, acc, vectors, (tables, views, term.pairs), (term.pinned, pinned_vecs))
     last = len(term.steps) - 1
     for state in range(last):
         msg = acc.pop(state, None)
         if msg is not None:
             _push(term.steps[state], msg, ctx)
     total = acc.pop(last)[1]
-    return complex(2.0 * total.real) if len(term.exponents) > 2 else total
+    return complex(2.0 * total.real) if len(grid) > 2 else complex(total)
 
 
 def _trapezoid_sums(f, plan: ContourPlan, num_lines: int, re_parts):
-    """Full and embedded-coarse trapezoid sums of a factored integrand."""
+    """Full and embedded-coarse trapezoid sums of a factored integrand, and
+    the term's pinned line (None if it has none)."""
     y, w = _grid_1d(plan)
     Z = re_parts[:, None] + 1j * y[None, :]
     offsets = 2 * plan.nodes_per_line - 1
@@ -589,19 +698,30 @@ def _trapezoid_sums(f, plan: ContourPlan, num_lines: int, re_parts):
     if term.tables.shape != (len(term.pairs), offsets):
         raise ValueError(f"integrand tables must be one offset vector per line pair, "
                          f"shape {(len(term.pairs), offsets)}, got {term.tables.shape}")
+    if term.pinned is not None and term.pinned not in range(num_lines):
+        raise ValueError(f"pinned line {term.pinned} is not one of the {num_lines} lines")
+    grid = num_lines - (term.pinned is not None)
+    if grid > MAX_LINES:
+        raise UnsupportedDimensionError(
+            f"tensor quadrature supports at most {MAX_LINES} grid lines, got {grid}")
+    if not math.isfinite(term.log_scale):
+        raise NumericsError(f"integrand factor not finite: log-scale {term.log_scale}")
     _vet_steps(term)
-    vectors, log = _line_vectors(term.exponents, w, Z)
+    vectors, log = _line_vectors(term, w, Z)
     _vet_tables(term, Z)
-    if num_lines > 2:
+    if grid > 2:
         _vet_reflection(term)
-    full = _sum_orders(term, vectors, term.tables)
-    # every other node: spacing 2h, so weights double on each line
-    half = _sum_orders(term, [2.0 * v[:, ::2] for v in vectors], term.tables[:, ::2])
+    pinned = _pinned_vectors(term)
+    full = _sum_orders(term, vectors, term.tables, pinned)
+    # every other node: spacing 2h, so weights double on each grid line
+    coarse = [v if k == term.pinned else 2.0 * v[:, ::2] for k, v in enumerate(vectors)]
+    half = _sum_orders(term, coarse, term.tables[:, ::2], {r: v[::2] for r, v in pinned.items()})
     for s_val in (full, half):
         if not (math.isfinite(s_val.real) and math.isfinite(s_val.imag)):
             raise NumericsError(f"contracted integrand term not finite: {s_val}")
+    log += term.log_scale
     return (ScaledComplex(term.coef * full, log).normalize(),
-            ScaledComplex(term.coef * half, log).normalize())
+            ScaledComplex(term.coef * half, log).normalize(), term.pinned)
 
 
 def integrate_tensor(f, plan: ContourPlan, num_lines: int, decay_rates=None, abscissas=None):
@@ -610,20 +730,24 @@ def integrate_tensor(f, plan: ContourPlan, num_lines: int, decay_rates=None, abs
     f(Z) -> one Interleavings, with Z of shape (num_lines, N) holding each
     line's nodes, all lines on the same imaginary parts (the grid invariant
     above), and the term's tables given as offset vectors of length 2N-1, one
-    per entry of its pairs.  At three or more lines the integrand must be
-    real on the real axis, f(conj w) = conj f(w): every exponent row and
+    per entry of its pairs.  A term may pin one line (see Pinned line in the
+    module docstring): that line is held at y = 0, and MAX_LINES counts the
+    others, the grid lines.  At three or more grid lines the integrand must
+    be real on the real axis, f(conj w) = conj f(w): every exponent row and
     table conjugate under node reversal, as the module's integrands are.
     The sum then runs on half the grid (see Reflection in the module
     docstring), and another integrand is refused with ValueError.
     Line k sits at Re w = theta + k*epsilon unless explicit `abscissas`
     override the real parts.  decay_rates (per-line Gaussian coefficients a_k with
-    |integrand| ~ exp(-a_k y_k^2)) feed the tail bound.
+    |integrand| ~ exp(-a_k y_k^2)) feed the tail bound; a pinned line's is
+    not used, as nothing truncates it.
     """
     if num_lines < 1:
         raise ValueError(f"num_lines must be >= 1, got {num_lines}")
-    if num_lines > MAX_LINES:
+    if num_lines > MAX_LINES + 1:
         raise UnsupportedDimensionError(
-            f"tensor quadrature supports at most {MAX_LINES} lines, got {num_lines}"
+            f"tensor quadrature supports at most {MAX_LINES} grid lines, and one pinned "
+            f"line, got {num_lines} lines"
         )
     if abscissas is not None:
         abscissas = tuple(float(a) for a in abscissas)
@@ -638,9 +762,10 @@ def integrate_tensor(f, plan: ContourPlan, num_lines: int, decay_rates=None, abs
             raise ValueError(f"need {num_lines} positive finite decay rates, got {decay_rates}")
     check_grid_size(plan, num_lines)
 
-    value, coarse = _trapezoid_sums(f, plan, num_lines, re_parts)
+    value, coarse, pinned = _trapezoid_sums(f, plan, num_lines, re_parts)
     tail = 0.0
     if decay_rates is not None:
-        tail = sum(math.erfc(math.sqrt(a) * plan.half_width) for a in decay_rates)
+        tail = sum(math.erfc(math.sqrt(a) * plan.half_width)
+                   for k, a in enumerate(decay_rates) if k != pinned)
     step = rel_diff(value, coarse)
     return QuadratureResult(value=value, tail_bound=tail, step_estimate=step)

@@ -23,18 +23,14 @@ from bosegas.spectral import GapReport
 
 MOMENT_N1_GOLDEN = (
     "term,value_mantissa,value_logscale,value_decimal,tail_bound,step_estimate\n"
-    "1,0.56418958354775628,-0.94314718055994529,0.21969564473386119,"
-    "1.6678055129630822e-22,0\n"
-    "total,0.56418958354775628,-0.94314718055994529,0.21969564473386119,"
-    "1.6678055129630848e-22,0\n"
+    "1,0.5,-0.82236494292470008,0.21969564473386119,0,0\n"
+    "total,0.5,-0.82236494292470008,0.21969564473386119,0,0\n"
 )
 
 TABLE_N1_GOLDEN = (
     "t,moment_mantissa,moment_logscale,leading_mantissa,leading_logscale,ratio,ratio_err\n"
-    "1,0.79788456080286552,-0.69314718055994529,0.5,-0.22579135264472738,"
-    "1.0000000000000002,1.6678055129630852e-22\n"
-    "2,0.56418958354775628,-0.69314718055994529,0.5,-0.57236494292470008,"
-    "1,1.6678055129630848e-22\n"
+    "1,0.5,-0.22579135264472738,0.5,-0.22579135264472738,1,0\n"
+    "2,0.5,-0.57236494292470008,0.5,-0.57236494292470008,1,0\n"
 )
 
 
@@ -127,9 +123,10 @@ def test_nested_json_is_the_library_total(capsys, t, x, flags, overrides):
 
 def test_csv_floats_have_17_significant_digits(capsys):
     _, out = run(capsys, ["moment", "--t", "2.0", "--x", "1.0"])
-    val = out.splitlines()[1].split(",")[1]
-    assert val == "0.56418958354775628"
-    assert float(val) == 1.0 / math.sqrt(math.pi)  # 17 digits round-trip exactly
+    val = out.splitlines()[1].split(",")[3]
+    assert val == "0.21969564473386119"
+    # 17 digits round-trip exactly
+    assert float(val) == moment_partition_sum(MomentRequest(2.0, (1.0,))).value.to_complex().real
 
 
 def test_moment_routes_agree_through_cli(capsys):
@@ -341,7 +338,7 @@ def test_negative_values_in_exponent_form_are_numbers(capsys):
 @pytest.mark.parametrize("argv,message", [
     (["moment", "--t", "1", "--x", "1e200"], "integrand factor not finite"),
     (["moment", "--t", "1", "--x", "1e200", "--route", "nested"], "integrand factor not finite"),
-    (["moment", "--t", "1", "--n", "3", "--theta", "1e300"], "integrand factor not finite"),
+    (["moment", "--t", "1", "--x", "0", "0", "1e200"], "integrand factor not finite"),
     # points so far apart that the default nested abscissas round together
     (["moment", "--t", "1", "--x", "0", "1e200", "--route", "nested"],
      "default nested abscissas lose their spacing"),
@@ -355,6 +352,15 @@ def test_overflowing_integrand_is_one_error_line(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+
+
+def test_theta_that_rounds_the_line_gaps_away_is_one_error_line(capsys):
+    # theta moves no value, but at 1e300 the lines theta + k eps coincide
+    assert main(["moment", "--t", "1", "--n", "3", "--theta", "1e300"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: contour lines at theta 1e+300 lose their offset")
     assert captured.err.count("\n") == 1
 
 

@@ -9,7 +9,9 @@ multiplicities, prefactors) at once.
 
 import dataclasses
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import bosegas.moments as moments
@@ -17,6 +19,7 @@ import bosegas.quadrature as quadrature
 from bosegas.errors import NearSingularityError, NumericsError, UnsupportedDimensionError
 from bosegas.kernel import cluster_integrand_batch
 from bosegas.moments import (
+    MAX_TOP_SIZE,
     MomentRequest,
     RatioResult,
     asymptotic_ratio,
@@ -36,7 +39,7 @@ from bosegas.moments import (
     top_cluster_integral,
     two_point_moment,
 )
-from bosegas.partitions import Partition
+from bosegas.partitions import Partition, enumerate_partitions
 from bosegas.quadrature import ContourPlan, QuadratureResult, integrate_tensor
 from bosegas.scaled import ScaledComplex, rel_diff
 from bosegas.scaled import ScaledComplex
@@ -251,8 +254,8 @@ def test_five_line_plans_take_the_four_line_tolerance():
     # the routes stop at four lines, but the planners size five-line grids
     # too, at the four-line step tolerance: the N that sizes n = 5 work
     a = default_abscissas(5, 1.0, (0.0,) * 5)
-    assert auto_nested_plan(1.0, a).nodes_per_line == 95
-    assert auto_cluster_plan(1.0, Partition((1,) * 5), (0.0,) * 5).nodes_per_line == 79
+    assert auto_nested_plan(1.0, a).nodes_per_line == 133
+    assert auto_cluster_plan(1.0, Partition((1,) * 5), (0.0,) * 5).nodes_per_line == 111
 
 
 # --- guard rails -----------------------------------------------------------
@@ -289,11 +292,12 @@ def test_singleton_term_forms_no_cross_ratio_pole():
 
 
 def test_five_point_four_line_partition_pinned():
-    # n = 5 with four lines: the one place a placement leaves four lines open
-    # before any is summed out.  Value recorded from the per-permutation
-    # contraction this recursion replaced, on the same default 65-node plan.
+    # n = 5 with four lines, three of them on the grid: the one place a
+    # placement leaves three grid lines open before any is summed out, and
+    # where the pinned line may close first.  Value recorded from a sweep
+    # over every node of the same default 73-node plan, line 0 at y = 0.
     res = cluster_integral(MomentRequest(1.0, (0.0,) * 5), Partition((2, 1, 1, 1)))
-    want = ScaledComplex(0.9938567498132769 + 1.7114583043590026e-17j, -6.5814718055994526)
+    want = ScaledComplex(0.7051740980569503 - 1.734723475976807e-17j, -6.238324625039508)
     assert rel_diff(res.value, want) <= 1e-12
 
 
@@ -338,8 +342,10 @@ def test_two_point_total_no_farther_from_erf_form(x, t, miss):
 
 
 def test_singleton_terms_take_one_elimination_per_grid(monkeypatch):
-    # one order: a single path through the recursion, so one four-line
-    # elimination and one three-line start step per grid (full and coarse)
+    # one order: a single path through the recursion, on n - 1 grid lines
+    # once the centre of mass is integrated out: 1+1+1 runs on two lines,
+    # 1+1+1+1 on three, with one three-line start step per grid (full and
+    # coarse) and no four-line elimination
     calls = {"four": 0, "three": 0}
     real_four, real_three = quadrature._eliminate_four, quadrature._start_three
 
@@ -347,9 +353,9 @@ def test_singleton_terms_take_one_elimination_per_grid(monkeypatch):
         calls["four"] += 1
         return real_four(*args)
 
-    def three(open_, steps, ctx):
+    def three(open_, steps, *args):
         calls["three"] += len(steps)
-        return real_three(open_, steps, ctx)
+        return real_three(open_, steps, *args)
 
     monkeypatch.setattr(quadrature, "_eliminate_four", four)
     monkeypatch.setattr(quadrature, "_start_three", three)
@@ -357,41 +363,26 @@ def test_singleton_terms_take_one_elimination_per_grid(monkeypatch):
         p = Partition((1,) * n)
         x = (0.1, -0.3, 0.5, 0.2)[:n]
         cluster_integral(MomentRequest(1.0, x, plan=auto_cluster_plan(1.0, p, x, nodes=11)), p)
-    # 1+1+1+1 closes its first line into a three-line state, which streams
-    # on to its two-line sums without a _start_three
-    assert calls == {"four": 2, "three": 2}
+    assert calls == {"four": 0, "three": 2}
 
 
-# Full-cluster terms (n) at n = 1..4, recorded before the factor protocol
-# moved to stacked exponent rows and offset-vector tables: a single line's
-# arithmetic did not change, so the values must not move in any bit.
+# Full-cluster terms (n) at n = 1..4: the term's one line is its centre of
+# mass, integrated in closed form, so its bits are the closed form's.
 FULL_CLUSTER_PINS = [
-    (0.8, (-0.4,),
-     complex(0.8920620580763856, 0.0), -0.7931471805599453, 0.0),
-    (2.5, (0.0,),
-     complex(0.504626504404032, 0.0), -0.6931471805599453, 2.200088609963798e-16),
-    (0.8, (-0.4, 0.1),
-     complex(0.63078313050504, 0.0), -0.7712721805599453, 1.8318303949404317e-33),
-    (2.5, (0.0, 0.3),
-     complex(0.7136496464611086, -7.219132994274684e-18), -0.9202943611198906, 1.5563775889098057e-16),
-    (0.8, (-0.4, 0.1, 0.7),
-     complex(0.5150322693642528, -4.461703199274142e-19), -0.3333333333333333, 5.361551163102297e-19),
-    (2.5, (0.0, 0.3, 0.9),
-     complex(0.5826924963157755, -3.2484225433819242e-18), 0.8108528194400549, 1.906147037972789e-16),
-    (0.8, (-0.4, 0.1, 0.7, 1.0),
-     complex(0.6690465435572892, -7.995289473770819e-19), -0.01310281944005498, 1.2187597950883542e-18),
-    (2.5, (0.0, 0.3, 0.9, 1.6),
-     complex(0.7569397566060481, -2.8888949165808538e-34), 3.1580000000000004, 3.8165453609333955e-34),
+    (0.8, (-0.4,)), (2.5, (0.0,)), (0.8, (-0.4, 0.1)), (2.5, (0.0, 0.3)),
+    (0.8, (-0.4, 0.1, 0.7)), (2.5, (0.0, 0.3, 0.9)),
+    (0.8, (-0.4, 0.1, 0.7, 1.0)), (2.5, (0.0, 0.3, 0.9, 1.6)),
 ]
 
 
-@pytest.mark.parametrize("t,x,mantissa,log_scale,step", FULL_CLUSTER_PINS,
-                         ids=[f"n{len(x)}-t{t}" for t, x, *_ in FULL_CLUSTER_PINS])
-def test_full_cluster_term_bits_pinned(t, x, mantissa, log_scale, step):
+@pytest.mark.parametrize("t,x", FULL_CLUSTER_PINS,
+                         ids=[f"n{len(x)}-t{t}" for t, x in FULL_CLUSTER_PINS])
+def test_full_cluster_term_bits_pinned(t, x):
     res = cluster_integral(MomentRequest(t, x), Partition((len(x),)))
-    assert res.value.mantissa == mantissa
-    assert res.value.log_scale == log_scale
-    assert res.step_estimate == step
+    want = top_cluster_closed_form(t, x)
+    assert res.value.mantissa == want.mantissa
+    assert res.value.log_scale == want.log_scale
+    assert res.step_estimate == 0.0 and res.tail_bound == 0.0
 
 
 def test_size_guards():
@@ -429,3 +420,178 @@ def test_combine_results_error_weighting():
     assert out.value.to_complex() == pytest.approx(1.0)
     assert out.tail_bound == pytest.approx(3e-3, rel=1e-12)
     assert out.step_estimate == pytest.approx(2e-3, rel=1e-12)
+
+
+# --- the centre of mass in closed form --------------------------------------
+
+
+def _unpinned_partition_term(t, x, p):
+    """The l-line sum of partition p, every line on the grid, on the plan the
+    planner sizes for it: decay rates lambda_k t/2 and the same poles."""
+    plan = auto_cluster_plan(t, p, x)
+    rates = tuple(lam * t / 2.0 for lam in p.parts)
+    half_width, nodes = moments._grid_size(p.length, rates,
+                                           cluster_pole_distance(p, plan.epsilon))
+    plan = dataclasses.replace(plan, half_width=half_width, nodes_per_line=nodes)
+    return integrate_tensor(cluster_integrand_batch(t, x, p, pinned=False), plan, p.length,
+                            decay_rates=rates)
+
+
+def _unpinned_nested_moment(t, x):
+    """The n-line nested sum, every line on the grid, sized for decay t/2."""
+    n = len(x)
+    a = default_abscissas(n, t, x)
+    gap = min((abs(a[i] - a[j] - 1.0) for i in range(n) for j in range(i + 1, n)),
+              default=math.inf)
+    half_width, nodes = moments._grid_size(n, (t / 2.0,), gap)
+    plan = ContourPlan(theta=a[0], epsilon=0.0, half_width=half_width, nodes_per_line=nodes)
+    f = moments._nested_integrand(t, np.asarray(sorted(x)), pinned=False)
+    return integrate_tensor(f, plan, n, decay_rates=(t / 2.0,) * n, abscissas=a)
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 8.0])
+@pytest.mark.parametrize("where", ["origin", "spread"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pinned_terms_match_the_unpinned_sums(n, where, t):
+    # every term of both routes, its centre of mass integrated in closed
+    # form on l - 1 grid lines, against the same term with all l lines on
+    # the grid: they agree within both reported errors, or to roundoff
+    x = (0.0,) * n if where == "origin" else (0.1, -0.3, 0.5, 0.2)[:n]
+    req = MomentRequest(t, x)
+    cases = [(str(p), cluster_integral(req, p), _unpinned_partition_term(t, x, p))
+             for p in enumerate_partitions(n)]
+    cases.append((f"nested-{n}", moment_nested_contours(req), _unpinned_nested_moment(t, x)))
+    for name, got, want in cases:
+        tol = got.tail_bound + got.step_estimate + want.tail_bound + want.step_estimate
+        if max(got.step_estimate, want.step_estimate) <= 1e-12:
+            tol = max(tol, 1e-12)  # both at roundoff
+        assert rel_diff(got.value, want.value) <= tol, name
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 8.0])
+@pytest.mark.parametrize("n", range(1, MAX_TOP_SIZE + 1))
+def test_full_cluster_term_is_the_closed_form(n, t):
+    # the full cluster's one line is its centre of mass: no grid line is
+    # left, and the term is the closed form with no error to report
+    for x in ((0.0,) * n, tuple(0.3 * i - 0.5 for i in range(n))):
+        res = top_cluster_integral(MomentRequest(t, x))
+        assert rel_diff(res.value, top_cluster_closed_form(t, x)) <= 4 * np.finfo(float).eps
+        assert res.tail_bound == 0.0 and res.step_estimate == 0.0
+
+
+@pytest.mark.parametrize("route", [moment_partition_sum, moment_nested_contours],
+                         ids=["partition", "nested"])
+def test_n1_moment_is_the_heat_kernel(route):
+    for t in (0.3, 1.0, 7.0):
+        for x in (0.0, -1.3, 2.4):
+            res = route(MomentRequest(t, (x,)))
+            assert rel_to(res, heat_kernel(t, x)) <= 4 * np.finfo(float).eps
+            assert res.tail_bound == 0.0 and res.step_estimate == 0.0
+
+
+@pytest.mark.parametrize("route", [moment_partition_sum, moment_nested_contours],
+                         ids=["partition", "nested"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_shear_leaves_the_moment_over_heat_kernels(n, route):
+    # moving every point by c multiplies the moment by prod_i p_t(x_i + c) /
+    # p_t(x_i) exactly (Galilean invariance); integrating the centre of mass
+    # in closed form keeps the rest of the grid where it was
+    t, x = 1.0, (0.1, -0.3, 0.5)[:n]
+
+    def reduced(pts):
+        res = route(MomentRequest(t, pts))
+        return res.value.abs_log() - sum(math.log(heat_kernel(t, v)) for v in pts)
+
+    base = reduced(x)
+    for c in (0.7, -1.3, 2.5):
+        assert abs(math.expm1(reduced(tuple(v + c for v in x)) - base)) <= 1e-14
+
+
+def test_nested_four_points_at_large_t_is_finite():
+    # the relative Gaussian's peaks sit in the log-scale, not in the tables
+    res = moment_nested_contours(MomentRequest(128.0, (0.0,) * 4))
+    assert math.isfinite(res.value.abs_log())
+    assert math.isfinite(res.step_estimate) and math.isfinite(res.tail_bound)
+
+
+def test_theta_moves_no_value():
+    # theta moves only the pinned line, whose centre of mass is integrated
+    # in closed form: the terms agree to roundoff at any theta
+    t, x = 1.0, (0.0, 0.2, -0.4)
+    for p in enumerate_partitions(3):
+        base = cluster_integral(MomentRequest(t, x), p)
+        for theta in (-0.3, 5.0, -40.0):
+            plan = auto_cluster_plan(t, p, x, theta=theta)
+            res = cluster_integral(MomentRequest(t, x, plan=plan), p)
+            assert rel_diff(res.value, base.value) <= 1e-14, (p, theta)
+
+
+def test_theta_that_rounds_the_line_gaps_away_refused():
+    # at |theta| = 1e300 the lines theta + k eps round to one abscissa
+    p = Partition((1, 1))
+    plan = auto_cluster_plan(1.0, p, (0.0, 0.0), theta=1e300)
+    with pytest.raises(NumericsError, match="lose their offset epsilon"):
+        cluster_integral(MomentRequest(1.0, (0.0, 0.0), plan=plan), p)
+
+
+# the erf form at large separation, from the same formula in mpmath at 50
+# digits: 1 + erf there cancels, and e^{beta^2 t/4} magnified what was left
+TWO_POINT_FAR = [
+    (0.5, (0.0, 10.0), 1.2457911719122267e-44),
+    (0.1, (0.0, 5.0), 8.3890579971872178e-55),
+    (0.01, (0.0, 2.0), 2.2135526968980562e-86),
+    (0.5, (0.0, 7.0), 1.7943916512105562e-22),
+    (1.0, (0.0, 8.0), 2.2929574625167795e-15),
+    (1.0, (-20.0, 20.0), 3.1261407942089577e-175),
+    (1.0, (0.0, 0.5), 0.30956924521886798),
+    (5.0, (0.0, 0.0), 0.44709591604561933),
+]
+
+
+@pytest.mark.parametrize("t,x,want", TWO_POINT_FAR,
+                         ids=[f"t{t}-dx{x[1] - x[0]:g}" for t, x, _ in TWO_POINT_FAR])
+def test_two_point_moment_at_large_separation(t, x, want):
+    # t = 0.1 and 0.01 carry the rounding of x^2/(2t) in the Gaussian factor
+    assert abs(two_point_moment(t, *x) / want - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_no_moment_runs_a_four_line_elimination(monkeypatch, n):
+    # integrating the centre of mass leaves at most three grid lines to a
+    # moment of n <= 4 points; nested n = 4 takes one three-line start per
+    # grid, full and coarse
+    calls = {"four": 0, "three": 0}
+    real_three = quadrature._start_three
+
+    def four(*args):
+        calls["four"] += 1
+
+    def three(open_, steps, *args):
+        calls["three"] += len(steps)
+        return real_three(open_, steps, *args)
+
+    monkeypatch.setattr(quadrature, "_eliminate_four", four)
+    monkeypatch.setattr(quadrature, "_start_three", three)
+    req = MomentRequest(1.0, (0.1, -0.3, 0.5, 0.2)[:n])
+    moment_nested_contours(req, nodes=11)
+    assert calls == {"four": 0, "three": 2 if n == 4 else 0}
+    cluster_breakdown(req, nodes=11)
+    assert calls["four"] == 0
+
+
+@pytest.mark.parametrize("parts", [(3, 1), (2, 2)], ids=["3+1", "2+2"])
+def test_two_line_partitions_form_no_square_table(parts):
+    # one grid line: its tables to the pinned line are vectors, so at
+    # N = 401 the peak stays below one N x N complex array
+    n = 401
+    p = Partition(parts)
+    x = (0.1, -0.3, 0.5, 0.2)
+    req = MomentRequest(0.8, x, plan=auto_cluster_plan(0.8, p, x, nodes=n))
+    cluster_integral(req, p)  # caches filled outside the measurement
+    tracemalloc.start()
+    try:
+        cluster_integral(req, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 16

@@ -20,6 +20,8 @@ import bosegas.quadrature as quadrature
 from bosegas.kernel import _clustered_terms, _placements, cluster_integrand_batch
 from bosegas.moments import (
     MAX_TOP_SIZE,
+    TAIL_SAFETY,
+    TAIL_TOL,
     MomentRequest,
     _nested_integrand,
     auto_cluster_plan,
@@ -234,17 +236,24 @@ def test_nonfinite_table_reports_line_pair_and_nodes(lines, pair, offset):
     assert 0 <= a < n and 0 <= b < n and a - b == offset
 
 
-def _node_sweep(values, plan, re_parts):
+def _node_sweep(values, plan, re_parts, pinned=False):
     """Full and every-other-node trapezoid sums of values(W), with W of shape
-    (lines, nodes) holding every node of the tensor grid at once."""
+    (lines, nodes) holding every node of the tensor grid at once.  pinned
+    holds line 0 at its middle node, y = 0, with weight 1, on both grids."""
     n, lines = plan.nodes_per_line, len(re_parts)
+    grid = lines - pinned
     y = np.linspace(-plan.half_width, plan.half_width, n)
     w = np.full(n, plan.spacing / (2 * math.pi))
     w[0] *= 0.5
     w[-1] *= 0.5
-    idx = np.array(list(itertools.product(range(n), repeat=lines))).T  # (lines, nodes)
-    vals = values(re_parts[:, None] + 1j * y[idx]) * np.prod(w[idx], axis=0)
-    return vals.sum(), vals[np.all(idx % 2 == 0, axis=0)].sum() * 2**lines
+    idx = np.array(list(itertools.product(range(n), repeat=grid)), dtype=int)
+    idx = idx.reshape(n**grid, grid).T  # (grid lines, nodes)
+    vals = np.prod(w[idx], axis=0)
+    if pinned:
+        idx = np.vstack([np.full((1, idx.shape[1]), n // 2), idx])
+    vals = values(re_parts[:, None] + 1j * y[idx]) * vals
+    on_coarse = np.all(idx[pinned:] % 2 == 0, axis=0)
+    return vals.sum(), vals[on_coarse].sum() * 2**grid
 
 
 def _cluster_values(t, x, p):
@@ -275,6 +284,12 @@ def _nested_values(t, x_sorted):
 
 ORACLE_T = 0.8
 ORACLE_X = (-0.4, 0.1, 0.7, 1.0)
+
+
+def _unpinned_half_width(t, parts):
+    """The half-width that sizes a term with every line on the grid: its
+    slowest line decays at min(lambda) t/2, not at the pinned form's rate."""
+    return math.sqrt((math.log(1.0 / TAIL_TOL) + TAIL_SAFETY) / (0.5 * t * min(parts)))
 ORACLE_CASES = [(p, p.n, 11) for n in range(1, 5) for p in enumerate_partitions(n)]
 ORACLE_CASES += [("nested", n, 11) for n in range(1, 5)]
 # at 11 nodes the coarse grid has 6, an even count with no middle node; at 13
@@ -298,20 +313,72 @@ def test_contraction_matches_node_sweep(case, n, nodes):
     lines = n if case == "nested" else case.length
     if case == "nested":
         a = default_abscissas(n, ORACLE_T, x)
+        plan = auto_nested_plan(ORACLE_T, a, nodes=nodes,
+                                half_width=_unpinned_half_width(ORACLE_T, (1,)))
+        f = _nested_integrand(ORACLE_T, np.asarray(sorted(x)), pinned=False)
+        values = _nested_values(ORACLE_T, sorted(x))
+        re_parts = np.array(a)
+    else:
+        plan = auto_cluster_plan(ORACLE_T, case, x, nodes=nodes,
+                                 half_width=_unpinned_half_width(ORACLE_T, case.parts))
+        f = cluster_integrand_batch(ORACLE_T, x, case, pinned=False)
+        values = _cluster_values(ORACLE_T, x, case)
+        re_parts = plan.theta + plan.epsilon * np.arange(lines)
+    full, coarse, _ = _trapezoid_sums(f, plan, lines, re_parts)
+    want_full, want_coarse = _node_sweep(values, plan, re_parts)
+    assert abs(full.to_complex() - want_full) <= 1e-12 * abs(want_full)
+    assert abs(coarse.to_complex() - want_coarse) <= 1e-12 * abs(want_coarse)
+    if lines > 2:  # 2 Re of a half-grid sum
+        assert full.mantissa.imag == 0.0 and coarse.mantissa.imag == 0.0
+
+
+def _centre_integrated(values, t, x, parts):
+    """values(W) with the centre-of-mass Gaussian exp((nt/2) c^2 + B c),
+    c = sum_k lambda_k w_k / n, divided out and its integral over c,
+    exp(-B^2/(2nt)) / sqrt(2 pi n t), multiplied in: the pinned form's value
+    at each node, from the oracle integrand."""
+    n = sum(parts)
+    lam = np.array(parts, dtype=float)[:, None]
+    b = sum(x) + t * sum(q * (q - 1) / 2 for q in parts)
+
+    def pinned(W):
+        c = (lam * W).sum(axis=0) / n
+        centre = math.exp(-b * b / (2 * n * t)) / math.sqrt(2 * math.pi * n * t)
+        return values(W) * np.exp(-(0.5 * n * t) * c * c - b * c) * centre
+
+    return pinned
+
+
+@pytest.mark.parametrize("case,n,nodes", ORACLE_CASES,
+                         ids=[f"{c}-{n}" + ("" if nodes == 11 else f"-N{nodes}")
+                              for c, n, nodes in ORACLE_CASES])
+def test_pinned_contraction_matches_node_sweep(case, n, nodes):
+    # the routes' terms integrate the centre of mass in closed form and hold
+    # line 0 at y = 0; a sweep over the other lines' nodes of the oracle
+    # integrand, with the centre's Gaussian traded for its integral, must
+    # give the same full and coarse sums.  The single cluster keeps no grid
+    # line: its term is the closed form, and the sweep its one node.
+    x = ORACLE_X[:n]
+    if case == "nested":
+        parts = (1,) * n
+        a = default_abscissas(n, ORACLE_T, x)
         plan = auto_nested_plan(ORACLE_T, a, nodes=nodes)
         f = _nested_integrand(ORACLE_T, np.asarray(sorted(x)))
         values = _nested_values(ORACLE_T, sorted(x))
         re_parts = np.array(a)
     else:
+        parts = case.parts
         plan = auto_cluster_plan(ORACLE_T, case, x, nodes=nodes)
         f = cluster_integrand_batch(ORACLE_T, x, case)
         values = _cluster_values(ORACLE_T, x, case)
-        re_parts = plan.theta + plan.epsilon * np.arange(lines)
-    full, coarse = _trapezoid_sums(f, plan, lines, re_parts)
-    want_full, want_coarse = _node_sweep(values, plan, re_parts)
+        re_parts = plan.theta + plan.epsilon * np.arange(len(parts))
+    full, coarse, pinned = _trapezoid_sums(f, plan, len(parts), re_parts)
+    assert pinned == 0
+    want_full, want_coarse = _node_sweep(_centre_integrated(values, ORACLE_T, x, parts),
+                                         plan, re_parts, pinned=True)
     assert abs(full.to_complex() - want_full) <= 1e-12 * abs(want_full)
     assert abs(coarse.to_complex() - want_coarse) <= 1e-12 * abs(want_coarse)
-    if lines > 2:  # 2 Re of a half-grid sum
+    if len(parts) > 3:  # 2 Re of a half-grid sum
         assert full.mantissa.imag == 0.0 and coarse.mantissa.imag == 0.0
 
 
@@ -324,16 +391,59 @@ def test_recursion_matches_node_sweep_five_points(p):
     # at n = 5 partly placed clusters keep lines open across placements, and
     # 2+1+1+1 holds four open lines before its first elimination; the oracle
     # evaluates LU determinant x clustered kernel at every node of the grid
-    plan = auto_cluster_plan(ORACLE_T, p, FIVE_POINT_X, nodes=11)
+    plan = auto_cluster_plan(ORACLE_T, p, FIVE_POINT_X, nodes=11,
+                             half_width=_unpinned_half_width(ORACLE_T, p.parts))
     re_parts = plan.theta + plan.epsilon * np.arange(p.length)
-    full, coarse = _trapezoid_sums(cluster_integrand_batch(ORACLE_T, FIVE_POINT_X, p),
-                                   plan, p.length, re_parts)
+    full, coarse, _ = _trapezoid_sums(
+        cluster_integrand_batch(ORACLE_T, FIVE_POINT_X, p, pinned=False), plan, p.length,
+        re_parts)
     want_full, want_coarse = _node_sweep(_cluster_values(ORACLE_T, FIVE_POINT_X, p),
                                          plan, re_parts)
     assert abs(full.to_complex() - want_full) <= 1e-12 * abs(want_full)
     assert abs(coarse.to_complex() - want_coarse) <= 1e-12 * abs(want_coarse)
     if p.length > 2:  # 2 Re of a half-grid sum
         assert full.mantissa.imag == 0.0 and coarse.mantissa.imag == 0.0
+
+
+@pytest.mark.parametrize("case", ["2+1+1+1", "nested-5"])
+def test_pinned_recursion_matches_node_sweep_wide(case):
+    # 2+1+1+1 closes its pinned line 0 first on some paths, and its vectors
+    # then ride into the three-line start; the nested order of five lines
+    # streams a four-line elimination and closes the pinned line last
+    x = FIVE_POINT_X
+    if case == "nested-5":
+        parts = (1,) * 5
+        re_parts = np.array(default_abscissas(5, ORACLE_T, x))
+        plan = auto_nested_plan(ORACLE_T, re_parts, nodes=11)
+        f = _nested_integrand(ORACLE_T, np.asarray(sorted(x)))
+        values = _nested_values(ORACLE_T, sorted(x))
+    else:
+        p = Partition((2, 1, 1, 1))
+        parts = p.parts
+        plan = auto_cluster_plan(ORACLE_T, p, x, nodes=11)
+        re_parts = plan.theta + plan.epsilon * np.arange(p.length)
+        f = cluster_integrand_batch(ORACLE_T, x, p)
+        values = _cluster_values(ORACLE_T, x, p)
+    full, coarse, _ = _trapezoid_sums(f, plan, len(parts), re_parts)
+    want_full, want_coarse = _node_sweep(_centre_integrated(values, ORACLE_T, x, parts),
+                                         plan, re_parts, pinned=True)
+    assert abs(full.to_complex() - want_full) <= 1e-12 * abs(want_full)
+    assert abs(coarse.to_complex() - want_coarse) <= 1e-12 * abs(want_coarse)
+    assert full.mantissa.imag == 0.0 and coarse.mantissa.imag == 0.0
+
+
+def test_pinned_line_closing_among_four_grid_lines_refused(monkeypatch):
+    # 2+1+1+1+1 may close its pinned line with four grid lines open at the
+    # start, or three after an elimination: neither is a message the
+    # recursion forms, so the term is refused before any sum
+    sums = []
+    monkeypatch.setattr(quadrature, "_sum_orders", lambda *args: sums.append(args))
+    p = Partition((2, 1, 1, 1, 1))
+    x = FIVE_POINT_X + (-0.6,)
+    plan = auto_cluster_plan(ORACLE_T, p, x, nodes=11)
+    with pytest.raises(ValueError, match="the pinned line 0 closes into state"):
+        integrate_tensor(cluster_integrand_batch(ORACLE_T, x, p), plan, 5)
+    assert not sums
 
 
 def test_toeplitz_table_views_node_differences():
@@ -416,7 +526,7 @@ def test_cluster_tables_match_node_pair_form(p, nodes):
     x = FIVE_POINT_X[:p.n]
     plan = auto_cluster_plan(ORACLE_T, p, x, nodes=nodes)
     Z = _grid(plan, plan.theta + plan.epsilon * np.arange(p.length))
-    term = cluster_integrand_batch(ORACLE_T, x, p)(Z)
+    term = cluster_integrand_batch(ORACLE_T, x, p, pinned=False)(Z)
     _assert_tables_match(dict(enumerate(term.tables)), _direct_cluster_tables(Z, p.parts))
 
 
@@ -426,7 +536,7 @@ def test_nested_tables_match_node_pair_form(n, nodes):
     x = ORACLE_X[:n]
     a = default_abscissas(n, ORACLE_T, x)
     Z = _grid(auto_nested_plan(ORACLE_T, a, nodes=nodes), np.array(a))
-    term = _nested_integrand(ORACLE_T, np.asarray(sorted(x)))(Z)
+    term = _nested_integrand(ORACLE_T, np.asarray(sorted(x)), pinned=False)(Z)
     want = {}
     for i, j in itertools.combinations(range(n), 2):
         d = _pair_differences(Z, i, j)
@@ -606,7 +716,7 @@ def test_four_singletons_take_four_four_line_eliminations(monkeypatch):
     monkeypatch.setattr(quadrature, "_sum_out", count("fewer", two))
     p = Partition((1, 1, 1, 1))
     plan = auto_cluster_plan(ORACLE_T, p, ORACLE_X, nodes=11)
-    integrate_tensor(cluster_integrand_batch(ORACLE_T, ORACLE_X, p), plan, 4)
+    integrate_tensor(cluster_integrand_batch(ORACLE_T, ORACLE_X, p, pinned=False), plan, 4)
     assert calls.count("four") == 2 * 4  # full grid and coarse grid
     assert calls.count("three") == 2 * 12
     assert calls.count("fewer") == 2 * (12 + 4)  # two-line and one-line sum-outs
@@ -616,16 +726,17 @@ def test_four_singletons_take_four_four_line_eliminations(monkeypatch):
 def test_four_line_recursion_forms_no_cube(route):
     # every four-line elimination is streamed in cache-sized blocks of rows
     # through the three-line sum-outs that consume it: the peak is blocks
-    # and N^2 tables and messages, well below one N^3 array
+    # and N^2 tables and messages, well below one N^3 array.  The routes'
+    # terms pin a line, so the four grid lines are the oracle forms'
     n, x = 61, ORACLE_X
     p = Partition((1, 1, 1, 1))
     if route == "partition":
         plan, a = auto_cluster_plan(ORACLE_T, p, x, nodes=n), None
-        f = cluster_integrand_batch(ORACLE_T, x, p)
+        f = cluster_integrand_batch(ORACLE_T, x, p, pinned=False)
     else:
         a = default_abscissas(4, ORACLE_T, x)
         plan = auto_nested_plan(ORACLE_T, a, nodes=n)
-        f = _nested_integrand(ORACLE_T, np.asarray(sorted(x)))
+        f = _nested_integrand(ORACLE_T, np.asarray(sorted(x)), pinned=False)
     integrate_tensor(f, plan, 4, abscissas=a)  # caches filled outside the measurement
     tracemalloc.start()
     try:
@@ -638,8 +749,8 @@ def test_four_line_recursion_forms_no_cube(route):
 
 @pytest.mark.parametrize("case", ["partition", "nested"])
 def test_default_four_point_plans_stay_small(case):
-    # at t = 1 the default plans take N = 69 (1+1+1+1) and N = 95 (nested),
-    # whose N^3 messages alone would be 5.3 and 13.7 MB
+    # at t = 1 the default plans take N = 97 (1+1+1+1) and N = 133 (nested),
+    # on three grid lines: an N^3 array alone would be 14.6 and 37.6 MB
     req = MomentRequest(1.0, (0.0,) * 4)
     run, limit = {"partition": (cluster_breakdown, 4e6),
                   "nested": (moment_nested_contours, 3e6)}[case]
