@@ -624,7 +624,9 @@ def _close_pinned(open_, core, step, ctx):
 def _start_three(open_, steps, ctx, mults=None):
     """Close each first line of a three-line term: out[p, q] = sum_k v[k]
     F0[k, p] F1[k, q], one matmul per step over the first ceil(N/2) rows p
-    of rest[0] only (see Reflection); the other rows stay 0.
+    of rest[0] only (see Reflection); the other rows stay 0.  The
+    multipliers of a start message (see _close_pinned) go into v and onto
+    each result's rows and columns.
 
     The operand and every step's message are one allocation, and the later
     steps form no N x N array: glibc's malloc raises its mmap and trim
