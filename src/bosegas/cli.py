@@ -111,22 +111,21 @@ def _points_from_args(parser, args) -> SpacePoints:
 
 def _cmd_moment(parser, args) -> int:
     pts = _points_from_args(parser, args)
-    if args.route == "nested" and (args.theta is not None or args.epsilon is not None):
-        parser.error("--theta/--epsilon apply to the partition route only")
+    if args.route == "nested" and args.epsilon is not None:
+        parser.error("--epsilon applies to the partition route only")
     if args.epsilon is not None and pts.n > 1 and not 0.0 < args.epsilon < 1.0 / (pts.n - 1):
         parser.error(f"--epsilon must lie strictly between 0 and 1/(n-1) = "
                      f"{1.0 / (pts.n - 1):.6g} at n={pts.n}, got {args.epsilon}")
     req = MomentRequest(args.t, pts)
     overrides = dict(nodes=args.nodes, half_width=args.half_width)
     if args.route == "partition":
-        pieces = cluster_breakdown(req, theta=args.theta, epsilon=args.epsilon, **overrides)
+        pieces = cluster_breakdown(req, epsilon=args.epsilon, **overrides)
         total = combine_results(r for _, r in pieces)
     else:
         pieces, total = (), moment_nested_contours(req, **overrides)
 
     inputs = {"command": "moment", "t": args.t, "x": list(pts.coords), "route": args.route,
-              "nodes": args.nodes, "theta": args.theta, "epsilon": args.epsilon,
-              "half_width": args.half_width}
+              "nodes": args.nodes, "epsilon": args.epsilon, "half_width": args.half_width}
     terms = [dict(partition=str(p), **_value_record(r.value, r)) for p, r in pieces]
     results = {"terms": terms, "total": _value_record(total.value, total)}
     errors = {"tail_bound": total.tail_bound, "step_estimate": total.step_estimate}
@@ -228,15 +227,13 @@ def _suite_theta(lines: list[str], seed: int) -> bool:
     for p in enumerate_partitions(3):
         base = None
         worst = 0.0
-        theta0 = auto_cluster_plan(t, p, x).theta
-        for dtheta in (-0.3, 0.0, 0.3):
-            for eps in ((0.05, 0.1) if p.length > 1 else (None,)):
-                plan = auto_cluster_plan(t, p, x, theta=theta0 + dtheta, epsilon=eps)
-                res = cluster_integral(MomentRequest(t, x, plan=plan), p)
-                if base is None:
-                    base = res.value
-                else:
-                    worst = max(worst, abs(res.value.ratio_to(base) - 1.0))
+        for eps in (0.05, 0.1):
+            plan = auto_cluster_plan(t, p, x, epsilon=eps)
+            res = cluster_integral(MomentRequest(t, x, plan=plan), p)
+            if base is None:
+                base = res.value
+            else:
+                worst = max(worst, abs(res.value.ratio_to(base) - 1.0))
         ok &= _check(f"theta partition={p}", worst <= 1e-8,
                      f"contour-shift invariance, worst rel diff {worst:.3e}", lines)
     return ok
@@ -324,10 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--n", type=_count, help="number of points (all at 0 unless --x given)")
     m.add_argument("--x", type=_finite, nargs="+", help="evaluation points")
     m.add_argument("--route", choices=("partition", "nested"), default="partition")
-    m.add_argument("--theta", type=_finite,
-                   help="override contour abscissa (partition route); it moves only the "
-                        "centre-of-mass line, which is integrated in closed form, so the "
-                        "value does not depend on it")
     m.add_argument("--epsilon", type=_finite, help="override line offset (partition route)")
     m.add_argument("--nodes", type=_nodes, help="override nodes per line (odd)")
     m.add_argument("--half-width", type=_positive, help="override contour truncation")

@@ -48,9 +48,11 @@ K / mult:
     closed form (see moments): each line's Gaussian becomes, with the
     x-linear exponents, a pair factor exp((t/2n) lam_i lam_j (w_i - w_j)^2)
     multiplied into the line pair's tables and a linear exponent per line,
-    and the term pins line 0, the largest cluster.  The full cluster keeps
-    no grid line: its term is the closed form.  pinned=False gives the form
-    with every line on the grid, the tests' oracle.
+    and the term pins line 0, the largest cluster.  A single cluster keeps
+    no grid line and no table: its term is the pinned line's one node, the
+    closed form up to rounding, which the routes take directly
+    (moments.top_cluster_closed_form).  pinned=False gives the form with
+    every line on the grid, the tests' oracle.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from .errors import NearSingularityError, NumericsError, UnsupportedDimensionErr
 from .partitions import Partition, cluster_slots
 from .quadrature import Interleavings, Placement, _node_differences
 from .scaled import ScaledComplex
-from .spectral import SpacePoints, lyapunov_exponent, sorted_pairing_exponent
+from .spectral import SpacePoints
 
 DEFAULT_MIN_SEPARATION = 1e-8
 MAX_DIRECT_SIZE = 9  # generic-point kernel: n! terms
@@ -465,21 +467,6 @@ def _frozen(values, dtype):
     return out
 
 
-def _full_cluster_log(t, pts: SpacePoints) -> float:
-    """log of the full-cluster integral in closed Gaussian form,
-    (n-1)!/sqrt(2 pi n t) exp(n(n^2-1)/24 t + sum_i x_(i)((n+1)/2 - i)
-    - (sum x)^2/(2 n t))."""
-    n = pts.n
-    s = sum(pts.coords)
-    return (
-        float(lyapunov_exponent(n)) * t
-        + sorted_pairing_exponent(pts)
-        - s * s / (2.0 * n * t)
-        + math.lgamma(n)
-        - 0.5 * math.log(2.0 * math.pi * n * t)
-    )
-
-
 @lru_cache(maxsize=None)
 def _line_pair_weights(parts: tuple[int, ...], pairs: tuple) -> tuple:
     """(lam_i lam_j per distinct line pair of `pairs`, the first table row on
@@ -537,28 +524,20 @@ def cluster_integrand_batch(t, x, partition: Partition, *, pinned=True):
     exp(b'_k w + d'), b'_k = c + t lambda_k (lambda_k - 1)/2 - B lambda_k/n
     and d' = d + (t/2) sum_o o^2, B = sum x + t sum_k lambda_k (lambda_k -
     1)/2; the tables carry the relative Gaussian (see _relative_gaussian);
-    and line 0 is pinned.  A single cluster is its closed form,
-    moments.top_cluster_closed_form.  pinned=False sums every line on the
-    grid: the tests' oracle.
+    and line 0 is pinned.  A single cluster has no table, and its value is
+    the centre's factor times its line's exponent at y = 0: the closed form,
+    moments.top_cluster_closed_form, to rounding in the cancellation of
+    their logs.  pinned=False sums every line on the grid: the tests'
+    oracle.
 
     f relies on the grid invariant of quadrature: Z[k] = re_k + 1j*y on one
     shared uniform y.  Each table is then formed once per node offset, 2N-1
     values, and returned as that offset vector.
     """
-    pts = SpacePoints.of(x)
-    x_sorted = pts.ordered
+    x_sorted = SpacePoints.of(x).ordered
     if len(x_sorted) != partition.n:
         raise ValueError(f"got {len(x_sorted)} points for partition of {partition.n}")
     parts = partition.parts
-    ell = len(parts)
-    if pinned and ell == 1:
-        log = _full_cluster_log(t, pts)
-
-        def f(Z):
-            return Interleavings.product((np.zeros(Z.shape[1], dtype=complex),),
-                                         log_scale=log, pinned=0)
-
-        return f
     graph = _placements(parts)
     coef = graph.scalar / (partition.multiplicity * math.prod(parts))
     # per line and exponent row, padded to the most rows any line has: the
@@ -594,16 +573,14 @@ def cluster_integrand_batch(t, x, partition: Partition, *, pinned=True):
             quad = (0.5 * t) * quad
             exps = quad[:, None, :] + c * Z[:, None, :] + d
         exponents = tuple(exps[k, :n] for k, n in enumerate(rows))
-        tables = np.empty((0, 2 * Z.shape[1] - 1), dtype=complex)
+        diffs = _node_differences(Z[lower], Z[upper])
+        den = diffs[:, None, :] * den_sign + den_shift
+        _refuse_poles(den[graph.pole_mask], graph.pole_keys, DEFAULT_MIN_SEPARATION)
+        tables = (diffs[:, None, :] * num_sign + num_shift).prod(axis=1) / den.prod(axis=1)
         log = 0.0
-        if ell > 1:
-            diffs = _node_differences(Z[lower], Z[upper])
-            den = diffs[:, None, :] * den_sign + den_shift
-            _refuse_poles(den[graph.pole_mask], graph.pole_keys, DEFAULT_MIN_SEPARATION)
-            tables = (diffs[:, None, :] * num_sign + num_shift).prod(axis=1) / den.prod(axis=1)
-            if pinned:
-                gauss, log = relative(diffs)
-                tables *= gauss
+        if pinned:
+            gauss, log = relative(diffs)
+            tables *= gauss
         return Interleavings(graph.steps, exponents, tables, graph.pairs, coef, log,
                              0 if pinned else None)
 

@@ -38,8 +38,9 @@ lines do, so both routes integrate it in closed form: the tables take the
 relative Gaussian, each line its linear exponent, and line 0 is pinned at
 y = 0 (see Pinned line in quadrature), so an l-line term runs on l - 1 grid
 lines and the full cluster (n) on none: it is top_cluster_closed_form.  The
-relative lines w_k - w_0 sit at the same abscissa gaps as before, so the
-poles keep their distances and theta moves only the closed-form line.
+partition route places line k at Re w = k eps, line 0 at 0: the relative
+lines w_k - w_0 keep their gaps k eps, so the poles keep their distances,
+and a plan's theta reaches no value.
 
 Plans: given no explicit ContourPlan the integration grid is sized
 automatically from what the integrand is known to do — the relative
@@ -57,8 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearSingularityError, NumericsError, UnsupportedDimensionError
-from .kernel import (DEFAULT_MIN_SEPARATION, _full_cluster_log, _relative_gaussian,
-                     cluster_integrand_batch)
+from .kernel import DEFAULT_MIN_SEPARATION, _relative_gaussian, cluster_integrand_batch
 from .partitions import Partition, enumerate_partitions
 from .quadrature import (
     MAX_LINES,
@@ -70,7 +70,8 @@ from .quadrature import (
     integrate_tensor,
 )
 from .scaled import ScaledComplex
-from .spectral import SpacePoints, log_ground_state, lyapunov_exponent, optimal_theta
+from .spectral import (SpacePoints, log_ground_state, lyapunov_exponent, optimal_theta,
+                       sorted_pairing_exponent)
 
 MAX_TOP_SIZE = 9  # single full-cluster integral
 TAIL_TOL = 1e-12
@@ -184,8 +185,8 @@ def auto_cluster_plan(t: float, p: Partition, x, nodes: int | None = None,
 
     theta defaults to the envelope-minimizing abscissa shifted by -sum(x)/(nt),
     which centers the dominant Gaussian saddle for off-origin points.  The
-    route integrates the centre of mass in closed form, so theta moves only
-    that pinned line, and the value does not depend on it.
+    route ignores it (see cluster_integral); the tests' oracle forms, which
+    sum every line on the grid, need their lines on that saddle.
     """
     pts = SpacePoints.of(x)
     n = p.n
@@ -199,7 +200,14 @@ def auto_cluster_plan(t: float, p: Partition, x, nodes: int | None = None,
 
 
 def cluster_integral(req: MomentRequest, p: Partition) -> QuadratureResult:
-    """One partition's contour integral (the term nu_lambda of the expansion)."""
+    """One partition's contour integral (the term nu_lambda of the expansion).
+
+    The full cluster (n) is top_cluster_closed_form, with no error, and
+    takes no plan.  Any other term is integrated on req.plan, or on
+    auto_cluster_plan's, with line k at Re w = k epsilon: its integrand
+    depends on the lines only through their gaps, so the plan's theta is
+    not read.
+    """
     if p.n != req.n:
         raise ValueError(f"partition of {p.n} against {req.n} points")
     if p.length > MAX_LINES:
@@ -209,29 +217,22 @@ def cluster_integral(req: MomentRequest, p: Partition) -> QuadratureResult:
         )
     if p.n > MAX_TOP_SIZE:
         raise UnsupportedDimensionError(f"cluster integrals support n <= {MAX_TOP_SIZE}")
-    plan = req.plan
-    if plan is None:
-        plan = auto_cluster_plan(req.t, p, req.x)
-    if p.length >= 2:
-        hi = 1.0 / (p.n - 1)
-        if not (0.0 < plan.epsilon < hi):
-            raise ValueError(
-                f"need 0 < epsilon < 1/(n-1) = {hi:.6g} for {p.length} lines at n={p.n}, "
-                f"got {plan.epsilon}"
-            )
-        # theta moves no value, but the lines' gaps must survive rounding
-        # at its magnitude
-        lines = [plan.theta + plan.epsilon * k for k in range(p.length)]
-        if any(abs(b - a - plan.epsilon) >= 0.5 * plan.epsilon
-               for a, b in zip(lines, lines[1:])):
-            raise NumericsError(f"contour lines at theta {plan.theta:.6g} lose their offset "
-                                f"epsilon {plan.epsilon:.6g} to rounding")
-    if p.length >= 2 and p.parts[0] == 1:
+    if p.length == 1:
+        return QuadratureResult(top_cluster_closed_form(req.t, req.x), 0.0, 0.0)
+    plan = req.plan or auto_cluster_plan(req.t, p, req.x)
+    hi = 1.0 / (p.n - 1)
+    if not (0.0 < plan.epsilon < hi):
+        raise ValueError(
+            f"need 0 < epsilon < 1/(n-1) = {hi:.6g} for {p.length} lines at n={p.n}, "
+            f"got {plan.epsilon}"
+        )
+    if p.parts[0] == 1:
         # 1+...+1: one order of the nested integrand (see the module docstring)
         f = _nested_integrand(req.t, np.asarray(req.x.ordered))
     else:
         f = cluster_integrand_batch(req.t, req.x, p)
-    return integrate_tensor(f, plan, p.length, decay_rates=_line_rates(req.t, p.parts))
+    return integrate_tensor(f, plan, p.length, decay_rates=_line_rates(req.t, p.parts),
+                            abscissas=[plan.epsilon * k for k in range(p.length)])
 
 
 def cluster_breakdown(req: MomentRequest,
@@ -282,7 +283,8 @@ def moment_partition_sum(req: MomentRequest) -> QuadratureResult:
 
 def top_cluster_integral(req: MomentRequest) -> QuadratureResult:
     """Only the full-cluster term lambda = (n), to n = 9: its one line is
-    the centre of mass, so it is the closed form, with no error."""
+    the centre of mass, so it is the closed form, with no error, and
+    req.plan is not read."""
     return cluster_integral(req, Partition((req.n,)))
 
 
@@ -335,8 +337,23 @@ def top_cluster_closed_form(t: float, x) -> ScaledComplex:
 
     (n-1)!/sqrt(2 pi n t) * exp( n(n^2-1)/24 t + sum_i x_(i)((n+1)/2 - i)
                                  - (sum x)^2 / (2 n t) ).
+
+    Raises NumericsError where that exponent is not finite, as when (sum
+    x)^2 overflows.
     """
-    return ScaledComplex.from_log(_full_cluster_log(t, SpacePoints.of(x)))
+    pts = SpacePoints.of(x)
+    n = pts.n
+    s = sum(pts.coords)
+    log = (
+        float(lyapunov_exponent(n)) * t
+        + sorted_pairing_exponent(pts)
+        - s * s / (2.0 * n * t)
+        + math.lgamma(n)
+        - 0.5 * math.log(2.0 * math.pi * n * t)
+    )
+    if not math.isfinite(log):
+        raise NumericsError(f"full-cluster closed form not finite: log {log}")
+    return ScaledComplex.from_log(log)
 
 
 def leading_asymptotic(t: float, x) -> ScaledComplex:

@@ -19,22 +19,22 @@ the offset vector g, never T.  _node_differences forms w_i - w_j once per
 offset and the integrand does its arithmetic on those vectors.  Reversing g
 transposes T, and since N is odd g[::2] is the coarse grid's offset vector.
 
-Pinned line: a term may hold one line, Interleavings.pinned, at its middle
-node y = 0 with weight 1 instead of summing it.  That is the form of an
-integrand whose factors depend on the lines only through w_i - w_j once a
+Pinned line: a term may hold its line 0, Interleavings.pinned = 0, at its
+middle node y = 0 with weight 1 instead of summing it.  That is the form of
+an integrand whose factors depend on the lines only through w_i - w_j once a
 Gaussian in their weighted mean has been integrated in closed form (see
 moments): the closed-form factor rides in coef and the log-scale, and
-w_k - w_pinned runs over the vertical line at re_k - re_pinned, which is
-what the grid sums with the pinned line at y = 0.  The other lines are the
-grid lines.  No message has an axis for the pinned line: its exponent rows
-are scalars, and a table joining it to grid line u is a per-node vector of
-u, the table's row or column at the middle node.  The step that closes u
-multiplies that vector into u's vector; the step that closes the pinned
-line multiplies the message by its row's scalar and by those vectors along
-their lines' axes.  Out of the start that product is never formed: the
-vectors go on as per-line multipliers to the steps out of the state
-reached, and each elimination takes its own line's into its vector and the
-others' into its result.  The coarse grid keeps the pinned line at y = 0.
+w_k - w_0 runs over the vertical line at re_k - re_0, which is what the grid
+sums with line 0 at y = 0.  The other lines are the grid lines.  No message
+has an axis for the pinned line: its exponent rows are scalars, and a table
+joining it to grid line u, on the pair (0, u), is a per-node vector of u,
+the table's row at the middle node.  The step that closes u multiplies that
+vector into u's vector; the step that closes the pinned line multiplies the
+message by its row's scalar and by those vectors along their lines' axes.
+Out of the start that product is never formed: the vectors go on as
+per-line multipliers to the steps out of the state reached, and each
+elimination takes its own line's into its vector and the others' into its
+result.  The coarse grid keeps the pinned line at y = 0.
 
 A term travels compact: per line one (rows, N) array of exponents, a row per
 way the line can close, and its tables stacked as one (K, 2N-1) array of
@@ -189,8 +189,9 @@ class Interleavings:
     row per way the line can close; tables is the (K, 2N-1) stack of offset
     vectors, row r the table T[a, b] = tables[r, a - b + N - 1] on the line
     pair (i, j) = pairs[r], i < j, indexed (node on i, node on j).  The
-    sum is multiplied by exp(log_scale).  pinned, if not None, is the line
-    held at its middle node y = 0 (see Pinned line in the module docstring).
+    sum is multiplied by exp(log_scale).  pinned is None, or 0: line 0 is
+    then held at its middle node y = 0 (see Pinned line in the module
+    docstring); another value is refused.
     """
 
     steps: tuple
@@ -333,18 +334,13 @@ def _line_vectors(term: Interleavings, w, Z):
 
 
 def _pinned_vectors(term: Interleavings):
-    """Each table joining the pinned line to a grid line u, as the per-node
-    vector of u with the pinned line at its middle node m: row m of T for
-    the pair (pinned, u), column m for (u, pinned).  Table row -> vector."""
+    """Each table joining the pinned line 0 to a grid line u, as the
+    per-node vector of u with line 0 at its middle node m: row m of T,
+    T[m, b] = g[m - b + N - 1].  Table row -> vector."""
     n = (term.tables.shape[1] + 1) // 2
     m = n // 2
-    out = {}
-    for r, (i, j) in enumerate(term.pairs):
-        if term.pinned == i:  # T[m, b] = g[m - b + N - 1]
-            out[r] = term.tables[r, m:m + n][::-1]
-        elif term.pinned == j:  # T[a, m] = g[a - m + N - 1]
-            out[r] = term.tables[r, m:m + n]
-    return out
+    return {r: term.tables[r, m:m + n][::-1]
+            for r, (i, _) in enumerate(term.pairs) if i == term.pinned}
 
 
 def _vet_tables(term: Interleavings, Z):
@@ -544,7 +540,7 @@ def _operands(open_, step, ctx, mults=None):
     facs = [None] * len(rest)
     for r in step.tables:
         i, j = pairs[r]
-        if pinned in (i, j):
+        if i == pinned:
             v = v * pinned_vecs[r]
         elif i == k:
             facs[rest.index(j)] = (stack[r], views[r])
@@ -608,8 +604,7 @@ def _close_pinned(open_, core, step, ctx):
     scalar = vectors[pinned][step.closes]
     vecs = {}
     for r in step.tables:
-        i, j = pairs[r]
-        vecs[j if i == pinned else i] = pinned_vecs[r]
+        vecs[pairs[r][1]] = pinned_vecs[r]
     if core is not None:
         _deposit(acc, step.dst, (open_, _along(core * scalar, open_, vecs)))
     elif not open_:
@@ -700,8 +695,8 @@ def _trapezoid_sums(f, plan: ContourPlan, num_lines: int, re_parts):
     if term.tables.shape != (len(term.pairs), offsets):
         raise ValueError(f"integrand tables must be one offset vector per line pair, "
                          f"shape {(len(term.pairs), offsets)}, got {term.tables.shape}")
-    if term.pinned is not None and term.pinned not in range(num_lines):
-        raise ValueError(f"pinned line {term.pinned} is not one of the {num_lines} lines")
+    if term.pinned not in (None, 0):
+        raise ValueError(f"only line 0 may be pinned, got line {term.pinned}")
     grid = num_lines - (term.pinned is not None)
     if grid > MAX_LINES:
         raise UnsupportedDimensionError(

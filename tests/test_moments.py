@@ -140,8 +140,9 @@ def test_breakdown_refuses_oversize_grid_before_any_integrand(monkeypatch):
     with pytest.raises(NumericsError, match="beyond the limit"):
         cluster_breakdown(MomentRequest(1.0, (0.0,) * 4), nodes=2001)
     assert built == []
+    # the full cluster is its closed form and builds no integrand
     cluster_breakdown(MomentRequest(1.0, (0.0, 0.0)), nodes=65)
-    assert len(built) == 2
+    assert len(built) == 1
 
 
 def test_overrides_reach_the_planners():
@@ -514,24 +515,63 @@ def test_nested_four_points_at_large_t_is_finite():
     assert math.isfinite(res.step_estimate) and math.isfinite(res.tail_bound)
 
 
+def _bits(res: QuadratureResult):
+    return (res.value.mantissa, res.value.log_scale, res.step_estimate, res.tail_bound)
+
+
 def test_theta_moves_no_value():
-    # theta moves only the pinned line, whose centre of mass is integrated
-    # in closed form: the terms agree to roundoff at any theta
-    t, x = 1.0, (0.0, 0.2, -0.4)
-    for p in enumerate_partitions(3):
-        base = cluster_integral(MomentRequest(t, x), p)
-        for theta in (-0.3, 5.0, -40.0):
-            plan = auto_cluster_plan(t, p, x, theta=theta)
-            res = cluster_integral(MomentRequest(t, x, plan=plan), p)
-            assert rel_diff(res.value, base.value) <= 1e-14, (p, theta)
+    # the partition route places its lines by their gaps, line 0 at Re w = 0,
+    # and the full cluster is its closed form: a plan's theta moves no bit
+    for n in (1, 2, 3, 4):
+        t, x = 1.0, (0.0, 0.2, -0.4, 0.3)[:n]
+        for p in enumerate_partitions(n):
+            base = _bits(cluster_integral(MomentRequest(t, x), p))
+            for theta in (-0.3, 5.0, -40.0, 1e300):
+                plan = auto_cluster_plan(t, p, x, theta=theta)
+                got = _bits(cluster_integral(MomentRequest(t, x, plan=plan), p))
+                assert got == base, (p, theta)
 
 
-def test_theta_that_rounds_the_line_gaps_away_refused():
-    # at |theta| = 1e300 the lines theta + k eps round to one abscissa
-    p = Partition((1, 1))
-    plan = auto_cluster_plan(1.0, p, (0.0, 0.0), theta=1e300)
-    with pytest.raises(NumericsError, match="lose their offset epsilon"):
-        cluster_integral(MomentRequest(1.0, (0.0, 0.0), plan=plan), p)
+@pytest.mark.parametrize("n", range(1, MAX_TOP_SIZE + 1))
+def test_full_cluster_builds_no_grid(monkeypatch, n):
+    # a one-part partition returns its closed form before any plan, integrand
+    # or grid, whether or not the request carries a plan
+    def refuse(*args, **kwargs):
+        raise AssertionError("the full cluster reached the quadrature")
+
+    for name in ("integrate_tensor", "auto_cluster_plan", "cluster_integrand_batch"):
+        monkeypatch.setattr(moments, name, refuse)
+    x = tuple(0.3 * i - 0.5 for i in range(n))
+    plan = ContourPlan(theta=0.0, epsilon=0.1, half_width=8.0, nodes_per_line=65)
+    for req in (MomentRequest(2.0, x), MomentRequest(2.0, x, plan=plan)):
+        assert cluster_integral(req, Partition((n,))) == QuadratureResult(
+            top_cluster_closed_form(2.0, x), 0.0, 0.0)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_TOP_SIZE + 1))
+def test_one_line_integrand_is_the_closed_form(n):
+    # cluster_integrand_batch on one line: no pairs, so its value is the
+    # closed-form centre factor times the pinned line's exponent at y = 0.
+    # That exponent, (t/2) sum_o o^2 ~ t n^3/6, and -B^2/(2nt), B = sum x +
+    # t n(n - 1)/2, cancel to the closed form's n(n^2 - 1) t/24: at n = 9,
+    # t = 10 two logs of ~1e3 leave 3e2, and their rounding moved the value
+    # by at most 6.3e-14 relative over this grid (n = 8 and 9, t = 10), so
+    # the bound is 2e-13, about three times that
+    p = Partition((n,))
+    for t in (0.5, 2.0, 10.0):
+        for x in ((0.0,) * n, tuple(0.3 * i for i in range(n)),
+                  tuple(0.3 * i - 0.5 for i in range(n))):
+            f = cluster_integrand_batch(t, x, p)
+            res = integrate_tensor(f, auto_cluster_plan(t, p, x), 1, abscissas=(0.0,))
+            assert rel_diff(res.value, top_cluster_closed_form(t, x)) <= 2e-13, (t, x)
+            assert res.step_estimate == 0.0 and res.tail_bound == 0.0
+
+
+@pytest.mark.parametrize("x", [(1e200,), (0.0, 0.0, 1e200)], ids=["n1", "n3"])
+def test_full_cluster_closed_form_overflow_refused(x):
+    # (sum x)^2 / (2nt) overflows and the exponent becomes -inf
+    with pytest.raises(NumericsError, match="full-cluster closed form not finite"):
+        top_cluster_closed_form(1.0, x)
 
 
 # the erf form at large separation, from the same formula in mpmath at 50

@@ -357,7 +357,7 @@ def test_pinned_contraction_matches_node_sweep(case, n, nodes):
     # line 0 at y = 0; a sweep over the other lines' nodes of the oracle
     # integrand, with the centre's Gaussian traded for its integral, must
     # give the same full and coarse sums.  The single cluster keeps no grid
-    # line: its term is the closed form, and the sweep its one node.
+    # line: the integrand's general path, with no table, gives its one node.
     x = ORACLE_X[:n]
     if case == "nested":
         parts = (1,) * n
@@ -443,6 +443,25 @@ def test_pinned_line_closing_among_four_grid_lines_refused(monkeypatch):
     plan = auto_cluster_plan(ORACLE_T, p, x, nodes=11)
     with pytest.raises(ValueError, match="the pinned line 0 closes into state"):
         integrate_tensor(cluster_integrand_batch(ORACLE_T, x, p), plan, 5)
+    assert not sums
+
+
+@pytest.mark.parametrize("pinned", [1, 2])
+def test_only_line_0_may_be_pinned(monkeypatch, pinned):
+    # every integrand pins line 0, and the recursion reads the pinned line's
+    # tables as rows T[m, b] of pairs (0, u); another line, or one the term
+    # does not have, is refused before any sum
+    sums = []
+    monkeypatch.setattr(quadrature, "_sum_orders", lambda *args: sums.append(args))
+    n = 7
+
+    def f(Z):
+        return Interleavings.product(tuple(0.5 * z * z for z in Z), ((0, 1),),
+                                     np.ones((1, 2 * n - 1), dtype=complex), pinned=pinned)
+
+    plan = ContourPlan(theta=0.0, epsilon=0.1, half_width=2.0, nodes_per_line=n)
+    with pytest.raises(ValueError, match=f"only line 0 may be pinned, got line {pinned}"):
+        integrate_tensor(f, plan, 2)
     assert not sums
 
 
