@@ -38,13 +38,10 @@ _FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 
 
 def _readme_flags():
-    """Every --flag the README names, but on the pip line of its Install section."""
-    text = README.read_text(encoding="utf-8")
-    head, _, install = text.partition("\n## Install\n")
-    install, sep, rest = install.partition("\n## ")
-    install = "\n".join(line for line in install.splitlines()
-                        if not line.startswith("pip install"))
-    return set(_FLAG.findall(head + install + sep + rest))
+    """Every --flag the README names, but on the pip line of its Install
+    section, which names pip's own."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    return set(_FLAG.findall("\n".join(l for l in lines if not l.startswith("pip install"))))
 
 
 def _cli_options():
