@@ -242,7 +242,8 @@ def cluster_breakdown(req: MomentRequest,
     Each partition's plan is req.plan, or auto_cluster_plan sized with the
     overrides it takes (nodes, theta, epsilon, half_width).  Every plan is
     checked against the array limit before any integral is computed, so an
-    oversize grid fails at once.
+    oversize grid fails at once; the full cluster's plan is only checked,
+    as its term is the closed form.
     """
     if req.n > MAX_LINES:  # the partition 1+...+1 takes n lines
         raise UnsupportedDimensionError(
