@@ -239,21 +239,23 @@ def cluster_breakdown(req: MomentRequest,
                       **overrides) -> tuple[tuple[Partition, QuadratureResult], ...]:
     """Every partition's integral, enumeration order (full cluster first).
 
-    Each partition's plan is req.plan, or auto_cluster_plan sized with the
-    overrides it takes (nodes, theta, epsilon, half_width).  Every plan is
-    checked against the array limit before any integral is computed, so an
-    oversize grid fails at once; the full cluster's plan is only checked,
-    as its term is the closed form.
+    Each partition of two or more parts takes req.plan, or auto_cluster_plan
+    sized with the overrides it takes (nodes, theta, epsilon, half_width).
+    Every plan is checked against the array limit before any integral is
+    computed, so an oversize grid fails at once.  The full cluster's term is
+    the closed form: it is given no plan, and nothing is sized or checked
+    for it.
     """
     if req.n > MAX_LINES:  # the partition 1+...+1 takes n lines
         raise UnsupportedDimensionError(
             f"full partition sum supports n <= {MAX_LINES}, got n={req.n}"
         )
     _refuse_plan_and_overrides(req, overrides)
-    plans = [(p, req.plan or auto_cluster_plan(req.t, p, req.x, **overrides))
-             for p in enumerate_partitions(req.n)]
+    plans = [(p, req.plan or auto_cluster_plan(req.t, p, req.x, **overrides)
+              if p.length > 1 else None) for p in enumerate_partitions(req.n)]
     for p, plan in plans:
-        check_grid_size(plan, p.length)
+        if plan is not None:
+            check_grid_size(plan, p.length)
     return tuple((p, cluster_integral(MomentRequest(req.t, req.x, plan), p))
                  for p, plan in plans)
 

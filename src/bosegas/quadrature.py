@@ -54,17 +54,16 @@ line k's vector and its tables to the open lines and sums w_k out: a plain
 sum at one line, one convolution of the offset vector with the line's vector
 at two (so a two-line term never forms an N x N array), one N^3 matmul at
 three and one (N^2 x N)(N x N) matmul at four.  Summing a line out of a
-three-line message is N^3 elementwise work, then N^2 dot products, or a
-sum over rows when the summed line is the one the blocks run over.  Where a
-table meets a dense message it enters as an (N, N) strided view of its
-offset vector, one view of the whole stack per grid, never as a stored
-N x N array.  Messages reaching the same state are added, except that no
-three-line message is ever held whole: the step that closes one of four
-open lines forms its N^3 result in blocks of rows that fit in cache, and
-hands each block at once to every step out of the state it reaches, each
-of which adds the block's share into its N x N message.  So no array spans
-three lines.  Nothing visits the grid node by node.  Line counts here are
-grid lines: a pinned term of l lines does the work of l - 1.
+two- or three-line message is one einsum pass over it, with no temporary of
+its size.  Where a table meets a dense message it enters as an (N, N)
+strided view of its offset vector, one view of the whole stack per grid,
+never as a stored N x N array.  Messages reaching the same state are added,
+but for the dense N^3 message a step out of four open lines forms: it goes
+at once to the steps out of the state it reaches, before the next step
+forms its own, so a start holds one at a time.  (A pinned line that closes
+with three grid lines open adds its three-line message into the state it
+reaches, one per such state.)  Nothing visits the grid node by node.  Line
+counts here are grid lines: a pinned term of l lines does the work of l - 1.
 
 Reflection: every integrand this package forms is real on the real axis,
 f(conj w) = conj f(w), for t, the points, the line abscissas and every shift
@@ -76,13 +75,12 @@ to the conjugate of its half with a_L < m, while the slice a_L = m is its
 own conjugate.  So the sum over any set of paths is 2 Re of its sum over
 a_L <= m with weight 1/2 at a_L = m, and since that is linear, each first
 elimination may restrict a line of its own.  A term of three or more grid
-lines restricts rest[0], the first line its first elimination leaves open:
-the line the four-line blocks of rows run over, and the row line of the
-three-line start's matmul.  So every first elimination does half its work,
-the later steps run on messages whose rows past the first ceil(N/2) are 0,
-and the term's sum is 2 Re of the recursion's.  The coarse grid has (N+1)/2
-nodes, an even count when N = 3 mod 4, and then no middle node.  One- and
-two-line terms, O(N^2) work, sum the whole grid.  The identity needs
+lines restricts rest[0], the first line its first elimination leaves open,
+the row line of the start's matmul.  So every first elimination does half
+its work, the later steps run on messages whose rows past the first
+ceil(N/2) are 0, and the term's sum is 2 Re of the recursion's.  The coarse
+grid has (N+1)/2 nodes, an even count when N = 3 mod 4, and then no middle
+node.  One- and two-line terms, O(N^2) work, sum the whole grid.  The identity needs
 exponent rows and tables that are conjugate under node reversal;
 _vet_reflection refuses a term of three or more grid lines whose factors
 are not.
@@ -115,18 +113,18 @@ from .scaled import ScaledComplex, rel_diff
 _TWO_PI = 2.0 * math.pi
 MAX_LINES = 4  # grid lines: a term with a pinned line may have one line more
 # Largest message a plan may imply, in complex values: N^3 at four lines,
-# N^2 at three.  The N^3 message is streamed in blocks of rows, never stored,
-# so it bounds work there, not memory.  Plans of two lines are held to the
-# N^2 limit too.  A pinned term is held to the limit of its count of lines,
-# one more than its grid lines: N^(lines-1) is then its work.
+# N^2 at three.  Plans of two lines are held to the N^2 limit too.  A pinned
+# term is held to the limit of its count of lines, one more than its grid
+# lines: N^(lines-1) is then its work.  At four grid lines the N^3 message
+# is allocated: with its operand an unpinned four-line term peaks near
+# 2.2 N^3 values, about 0.6 GB at the limit (N = 255, which only a direct
+# integrate_tensor call reaches).  A pinned five-line term is held to
+# N <= 63, where 2+1+1+1+1 peaks near 8.5 N^3 values (34 MB).
 MAX_ARRAY_VALUES = 1 << 24
 # Longest inner dimension handed to one BLAS matmul.  Past 128, OpenBLAS
 # (0.3.31) splits the inner sum differently at different thread counts, which
 # moves the last bits of a product; shorter blocks are summed in order here.
 _MATMUL_BLOCK = 128
-# Four-line sums run in blocks of rows of about this many complex values, so
-# a block's operands stay in cache.
-_BLOCK_VALUES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -297,8 +295,8 @@ def _count(v: int) -> str:
 def check_grid_size(plan: ContourPlan, num_lines: int):
     """Raise NumericsError if the largest message of num_lines lines on this
     plan, N^(lines-1) complex values (N^2 tables at two), would exceed
-    MAX_ARRAY_VALUES.  At four lines that N^3 message is streamed in blocks,
-    never allocated, but the rule bounds its work all the same."""
+    MAX_ARRAY_VALUES.  At four grid lines that N^3 message is allocated
+    (see MAX_ARRAY_VALUES for the peak)."""
     largest = plan.nodes_per_line ** max(2, num_lines - 1)
     if largest > MAX_ARRAY_VALUES:
         raise NumericsError(
@@ -362,25 +360,14 @@ def _vet_tables(term: Interleavings, Z):
 def _vet_steps(term: Interleavings):
     """Refuse a term the recursion would drop a table of: every table a step
     names must join the step's line to another line, at most one per line
-    pair.  Refuse too a pinned line that closes with more than two grid
-    lines open, but for three at the start: a three-line message is only
-    ever streamed, and a start of four takes no multipliers."""
-    open_at = {0: len(term.exponents) - (term.pinned is not None)}
-    for state, steps in enumerate(term.steps):
+    pair."""
+    for steps in term.steps:
         for step in steps:
             pairs = [term.pairs[r] for r in step.tables]
             if len(set(pairs)) < len(pairs) or not all(step.line in pair for pair in pairs):
                 raise ValueError(
                     f"a step closing line {step.line} into state {step.dst} names tables on "
                     f"line pairs {pairs}; it may name one per pair of its line")
-            if state not in open_at:
-                continue
-            if step.line == term.pinned and open_at[state] > (3 if state == 0 else 2):
-                raise ValueError(
-                    f"the pinned line {step.line} closes into state {step.dst} with "
-                    f"{open_at[state]} grid lines open; it may close with at most two open, "
-                    f"or three at the start")
-            open_at[step.dst] = open_at[state] - (step.line != term.pinned)
 
 
 def _unreflected(rows, floor):
@@ -425,79 +412,12 @@ def _matmul(a, b, out=None):
     return out
 
 
-def _block_rows(n):
-    """Rows of N x N in one block of a four-line term's sums (see _BLOCK_VALUES)."""
-    return max(1, _BLOCK_VALUES // (n * n))
-
-
-def _eliminate_four(v, facs, sinks):
-    """Stream m[a, b, c] = sum_d v[d] F0[d, a] F1[d, b] F2[d, c] in blocks of
-    rows a, over the columns F0 has: each block's left factor is built in
-    one scratch array, its product written into one block array and handed
-    to every sink as sink(a, block, scratch) before the next block is
-    formed.  A sink may overwrite scratch.  No (N, N, N) array is formed."""
-    n = v.size
-    left = np.multiply(_square(facs[0]).T, v, order="C")  # v[d] F0[d, a] on (a, d)
-    mid = np.ascontiguousarray(_square(facs[1]).T)
-    right = np.ascontiguousarray(_square(facs[2]))
-    rows = _block_rows(n)
-    # one allocation for both: glibc's malloc raises its mmap and trim
-    # thresholds to the largest mapped block freed, and at this size they
-    # cover a term's arrays, which then stay on the heap between terms
-    # instead of being returned and faulted in again
-    scratch, blocks = np.empty((2, rows, n, n), dtype=complex)
-    for a in range(0, len(left), rows):
-        b = min(a + rows, len(left))
-        lhs, block = scratch[:b - a], blocks[:b - a]
-        np.multiply(left[a:b, None, :], mid, out=lhs)
-        _matmul(lhs.reshape(-1, n), right, out=block.reshape(-1, n))
-        for sink in sinks:
-            sink(a, block, scratch)
-
-
-def _three_line_sink(axis, v, facs):
-    """Sum line k, on `axis`, out of a three-line message m that arrives in
-    blocks of rows on axis 0: out[p, q] = sum_k m[.., k, ..] v[k] F0[k, p]
-    F1[k, q].  Returns out, complete once every block is taken, and
-    take(a, block, scratch), which takes the block of rows a.. .
-
-    Off axis 0 a block holds rows p of out: the far table F1 goes in first,
-    with k last, then each (p, q) is one contiguous dot over k with v F0.
-    On axis 0 it holds rows k: their terms are formed by elementwise
-    products and added over k by np.add.reduce, block after block.  Neither
-    sum calls a BLAS product (np.vecdot sums in the same order at any BLAS
-    thread count)."""
-    n = v.size
-    out = np.zeros((n, n), dtype=complex)
-    if axis == 0:
-        near = _square(facs[0]) * v[:, None]  # v[k] F0[k, p] on (k, p)
-        far = np.ascontiguousarray(_square(facs[1]))
-
-        def take(a, block, scratch):
-            b = a + len(block)
-            prod = scratch[:b - a]
-            np.multiply(block, near[a:b, :, None], out=prod)
-            prod *= far[a:b, None, :]
-            out[...] += np.add.reduce(prod, axis=0)
-    else:
-        near = np.conj(_square(facs[0]).T * v, order="C")  # vecdot conjugates it back
-        far = np.ascontiguousarray(_square(facs[1]).T)
-        order = (0, 3 - axis, axis)  # (p, q, k)
-
-        def take(a, block, scratch):
-            b = a + len(block)
-            prod = scratch[:b - a]
-            np.multiply(block.transpose(order), far, out=prod)
-            np.vecdot(near[a:b, None, :], prod, out=out[a:b])
-    return out, take
-
-
 def _sum_out(core, axis, v, facs):
-    """Sum line k out of a message over one or two open lines, or out of the
-    start of a one- or two-line term.  core spans the open lines with k on
-    `axis` (None: the start, no line summed out yet); v is line k's vector
-    and facs its tables to the other open lines, in line order, each a
-    factor oriented (node on k, node on u).  Returns the message over the
+    """Sum line k out of a message over one to three open lines, or out of
+    the start of a one- or two-line term.  core spans the open lines with k
+    on `axis` (None: the start, no line summed out yet); v is line k's
+    vector and facs its tables to the other open lines, in line order, each
+    a factor oriented (node on k, node on u).  Returns the message over the
     other open lines."""
     if core is None:
         if not facs:
@@ -506,10 +426,11 @@ def _sum_out(core, axis, v, facs):
         return np.convolve(facs[0][0][::-1], v, "valid")
     if core.ndim == 1:
         return complex(core @ v)
-    # out[u] = sum_k core[.., k, ..] F[k, u] v[k] in one pass, forming no
-    # N x N temporary (see _start_three)
-    spec = "ku,ku,k->u" if axis == 0 else "uk,ku,k->u"
-    return np.einsum(spec, core, _square(facs[0]), v)
+    # out[u, ..] = sum_k core[.., k, ..] F0[k, u] .. v[k] in one pass, forming
+    # no temporary the size of core, and calling no BLAS product
+    others = "uvw"[:core.ndim - 1]
+    operands = [others[:axis] + "k" + others[axis:]] + ["k" + u for u in others] + ["k"]
+    return np.einsum(",".join(operands) + "->" + others, core, *map(_square, facs), v)
 
 
 # A message is (open, core): the grid lines not yet summed out, ascending
@@ -519,10 +440,10 @@ def _sum_out(core, axis, v, facs):
 # each table straight to the elimination as a factor (g, view), its offset
 # vector and its (N, N) view (None where none was made), oriented (node on
 # the closing line, node on the other); reversing g and transposing the view
-# flip it.  A message over three lines is never held whole: it exists only
-# as the blocks that _stream_four hands on.  A start message may come with
-# per-line multipliers, `mults`, line -> vector, that the pinned line left
-# when it closed first (see _close_pinned).
+# flip it.  A start's three-line message goes on at once to the steps out of
+# the state it reaches (see _start).  A start message may come with per-line
+# multipliers, `mults`, line -> vector, that the pinned line left when it
+# closed first (see _close_pinned).
 
 
 def _operands(open_, step, ctx, mults=None):
@@ -569,11 +490,9 @@ def _deposit(acc, state, msg):
 
 def _push(steps, msg, ctx, mults=None):
     """Send a message along the given steps, adding each result into its
-    state's sum.  Three or four grid lines are open only at the start of a
-    term, whose steps take the half grid of Reflection: a step that closes
-    one of four open lines streams its result (see _stream_four), and the
-    steps out of three open lines are taken together (see _start_three).
-    mults are the multipliers of a start message (see _close_pinned)."""
+    state's sum.  The steps out of a start of three or four grid lines are
+    taken together, on the half grid of Reflection (see _start).  mults are
+    the multipliers of a start message (see _close_pinned)."""
     _, acc, _, _, (pinned, _) = ctx
     open_, core = msg
     grid_steps = []
@@ -582,16 +501,13 @@ def _push(steps, msg, ctx, mults=None):
             _close_pinned(open_, core, step, ctx)
         else:
             grid_steps.append(step)
-    if len(open_) == 3:
-        _start_three(open_, grid_steps, ctx, mults)
+    if core is None and len(open_) > 2:
+        _start(open_, grid_steps, ctx, mults)
         return
     for step in grid_steps:
-        if len(open_) == 4:
-            _stream_four(open_, step, ctx)
-        else:
-            axis, rest, v, facs = _operands(open_, step, ctx, mults)
-            out = _sum_out(core, axis, v, facs)
-            _deposit(acc, step.dst, (rest, _along(out, rest, mults) if mults else out))
+        axis, rest, v, facs = _operands(open_, step, ctx, mults)
+        out = _sum_out(core, axis, v, facs)
+        _deposit(acc, step.dst, (rest, _along(out, rest, mults) if mults else out))
 
 
 def _close_pinned(open_, core, step, ctx):
@@ -616,49 +532,43 @@ def _close_pinned(open_, core, step, ctx):
         _push(all_steps[step.dst], (open_, None), ctx, vecs)
 
 
-def _start_three(open_, steps, ctx, mults=None):
-    """Close each first line of a three-line term: out[p, q] = sum_k v[k]
-    F0[k, p] F1[k, q], one matmul per step over the first ceil(N/2) rows p
-    of rest[0] only (see Reflection); the other rows stay 0.  The
-    multipliers of a start message (see _close_pinned) go into v and onto
-    each result's rows and columns.
+def _start(open_, steps, ctx, mults=None):
+    """Close each first line of a term of three or four grid lines:
+    out[p, q, ..] = sum_k v[k] F0[k, p] F1[k, q] .., one matmul per step
+    over the first ceil(N/2) rows p of rest[0] only (see Reflection); the
+    other rows stay 0.  The multipliers of a start message (see
+    _close_pinned) go into v and onto each result's axes.  A two-line
+    result is added into its state's sum.  A three-line one goes at once to
+    the steps out of the state it reaches, so one is alive at a time and
+    every step writes it into the same array.
 
-    The operand and every step's message are one allocation, and the later
-    steps form no N x N array: glibc's malloc raises its mmap and trim
-    thresholds to the largest mapped block freed, so after the first term
-    the block and the term's smaller arrays stay on the heap instead of
-    being returned and faulted in again."""
-    _, acc, vectors, _, _ = ctx
+    The operand and every step's message are one allocation, and the
+    sum-outs that take a message form no temporary of its size: glibc's
+    malloc raises its mmap and trim thresholds to the largest mapped block
+    freed, so after the first term the block and the term's smaller arrays
+    stay on the heap instead of being returned and faulted in again."""
+    all_steps, acc, vectors, _, _ = ctx
     n = vectors[open_[0]].shape[1]
     half = (n + 1) // 2
-    work = np.empty((1 + len(steps), n, n), dtype=complex)
+    kept = len(steps) if len(open_) == 3 else 1
+    work = np.empty((1 + kept,) + (n,) * (len(open_) - 1), dtype=complex)
     operand, outs = work[0, :half], work[1:]
     outs[:, half:] = 0.0
-    for step, out in zip(steps, outs):
+    for i, step in enumerate(steps):
+        out = outs[i % kept]
         _, rest, v, facs = _operands(open_, step, ctx, mults)
-        np.multiply(_half_columns(_square(facs[0])).T, v, out=operand)  # (p, k)
-        _matmul(operand, _square(facs[1]), out=out[:half])
+        near = _half_columns(_square(facs[0])).T  # (p, k)
+        if len(rest) == 2:
+            np.multiply(near, v, out=operand)
+        else:  # (p, q, k)
+            np.multiply((near * v)[:, None, :], _square(facs[1]).T, out=operand)
+        _matmul(operand.reshape(-1, n), _square(facs[-1]), out=out[:half].reshape(-1, n))
         if mults:
             out[...] = _along(out, rest, mults)
-        _deposit(acc, step.dst, (rest, out))
-
-
-def _stream_four(open_, step, ctx):
-    """Close one of four open lines.  Its three-line result is formed block
-    by block, over the first ceil(N/2) nodes of rest[0] only (see
-    Reflection), and each block goes at once to every step out of the state
-    it reaches; their two-line messages are added into their states' sums
-    after the last block, in the order the steps are listed."""
-    all_steps, acc, _, _, _ = ctx
-    _, rest, v, facs = _operands(open_, step, ctx)
-    facs[0] = (None, _half_columns(_square(facs[0])))
-    sinks = []
-    for sink in all_steps[step.dst]:
-        axis, lines, sink_v, sink_facs = _operands(rest, sink, ctx)
-        sinks.append((sink.dst, lines, *_three_line_sink(axis, sink_v, sink_facs)))
-    _eliminate_four(v, facs, [take for *_, take in sinks])
-    for dst, lines, out, _ in sinks:
-        _deposit(acc, dst, (lines, out))
+        if len(rest) == 2:
+            _deposit(acc, step.dst, (rest, out))
+        else:
+            _push(all_steps[step.dst], (rest, out), ctx)
 
 
 def _sum_orders(term: Interleavings, vectors, tables, pinned_vecs):

@@ -18,6 +18,7 @@ from bosegas.moments import (
     combine_results,
     moment_nested_contours,
     moment_partition_sum,
+    top_cluster_closed_form,
 )
 from bosegas.spectral import GapReport
 
@@ -359,12 +360,13 @@ def test_overflowing_integrand_is_one_error_line(capsys, argv, message):
 
 @pytest.mark.parametrize("argv", [
     ["moment", "--t", "1e-320", "--n", "3"],
-    ["moment", "--t", "1e-310", "--n", "1"],
+    ["moment", "--t", "1e-310", "--n", "1", "--route", "nested"],
     ["moment", "--t", "1e-320", "--n", "2", "--route", "nested"],
     ["asymptotic-table", "--n", "2", "--t-list", "1e-320"],
     ["moment", "--t", "1e-320", "--n", "2", "--nodes", "65"],
     # t/2 underflows to 0 even with the plan given
-    ["moment", "--t", "5e-324", "--n", "1", "--nodes", "5", "--half-width", "1"],
+    ["moment", "--t", "5e-324", "--n", "1", "--nodes", "5", "--half-width", "1",
+     "--route", "nested"],
 ], ids=" ".join)
 def test_subnormal_t_is_one_error_line(capsys, argv):
     # the Gaussian decay rates t*lambda/2 are too small to size a grid by
@@ -373,6 +375,24 @@ def test_subnormal_t_is_one_error_line(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["moment", "--t", "1e-310", "--n", "1"],
+    ["moment", "--t", "5e-324", "--n", "1", "--nodes", "5", "--half-width", "1"],
+    ["moment", "--t", "1", "--n", "1", "--nodes", "5001"],
+], ids=" ".join)
+def test_partition_route_n1_sizes_no_grid(capsys, argv):
+    # one point is the full cluster alone, whose term is the heat kernel's
+    # closed form: no plan is sized or checked for it, so neither a decay
+    # rate that underflows nor an oversize grid refuses it
+    rc, out = run(capsys, argv)
+    assert rc == 0
+    want = top_cluster_closed_form(float(argv[2]), (0.0,))
+    bits = [f"{want.mantissa.real:.17g}", f"{want.log_scale:.17g}"]
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[0] for row in rows] == ["1", "total"]
+    assert all(row[1:3] == bits and row[4:] == ["0", "0"] for row in rows)
 
 
 CSV_JSON_MATRIX = [

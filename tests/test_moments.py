@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 import bosegas.moments as moments
-import bosegas.quadrature as quadrature
 from bosegas.errors import NearSingularityError, NumericsError, UnsupportedDimensionError
 from bosegas.kernel import cluster_integrand_batch
 from bosegas.moments import (
@@ -342,29 +341,17 @@ def test_two_point_total_no_farther_from_erf_form(x, t, miss):
     assert rel_to(moment_partition_sum(MomentRequest(t, x)), two_point_moment(t, *x)) <= miss
 
 
-def test_singleton_terms_take_one_elimination_per_grid(monkeypatch):
+def test_singleton_terms_take_one_elimination_per_grid(eliminations):
     # one order: a single path through the recursion, on n - 1 grid lines
     # once the centre of mass is integrated out: 1+1+1 runs on two lines,
     # 1+1+1+1 on three, with one three-line start step per grid (full and
-    # coarse) and no four-line elimination
-    calls = {"four": 0, "three": 0}
-    real_four, real_three = quadrature._eliminate_four, quadrature._start_three
-
-    def four(*args):
-        calls["four"] += 1
-        return real_four(*args)
-
-    def three(open_, steps, *args):
-        calls["three"] += len(steps)
-        return real_three(open_, steps, *args)
-
-    monkeypatch.setattr(quadrature, "_eliminate_four", four)
-    monkeypatch.setattr(quadrature, "_start_three", three)
+    # coarse) and no four-line start or three-line sum-out
     for n in (3, 4):
         p = Partition((1,) * n)
         x = (0.1, -0.3, 0.5, 0.2)[:n]
         cluster_integral(MomentRequest(1.0, x, plan=auto_cluster_plan(1.0, p, x, nodes=11)), p)
-    assert calls == {"four": 0, "three": 2}
+    assert eliminations[("start", 3)] == 2
+    assert ("start", 4) not in eliminations and ("sum_out", 3) not in eliminations
 
 
 # Full-cluster terms (n) at n = 1..4: the term's one line is its centre of
@@ -596,27 +583,16 @@ def test_two_point_moment_at_large_separation(t, x, want):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_no_moment_runs_a_four_line_elimination(monkeypatch, n):
+def test_no_moment_runs_a_four_line_elimination(eliminations, n):
     # integrating the centre of mass leaves at most three grid lines to a
-    # moment of n <= 4 points; nested n = 4 takes one three-line start per
-    # grid, full and coarse
-    calls = {"four": 0, "three": 0}
-    real_three = quadrature._start_three
-
-    def four(*args):
-        calls["four"] += 1
-
-    def three(open_, steps, *args):
-        calls["three"] += len(steps)
-        return real_three(open_, steps, *args)
-
-    monkeypatch.setattr(quadrature, "_eliminate_four", four)
-    monkeypatch.setattr(quadrature, "_start_three", three)
+    # moment of n <= 4 points; nested n = 4 takes one three-line start step
+    # per grid, full and coarse, and no route takes a four-line start or
+    # sums a line out of a three-line message
     req = MomentRequest(1.0, (0.1, -0.3, 0.5, 0.2)[:n])
     moment_nested_contours(req, nodes=11)
-    assert calls == {"four": 0, "three": 2 if n == 4 else 0}
+    assert eliminations.get(("start", 3), 0) == (2 if n == 4 else 0)
     cluster_breakdown(req, nodes=11)
-    assert calls["four"] == 0
+    assert ("start", 4) not in eliminations and ("sum_out", 3) not in eliminations
 
 
 @pytest.mark.parametrize("parts", [(3, 1), (2, 2)], ids=["3+1", "2+2"])

@@ -409,7 +409,7 @@ def test_recursion_matches_node_sweep_five_points(p):
 def test_pinned_recursion_matches_node_sweep_wide(case):
     # 2+1+1+1 closes its pinned line 0 first on some paths, and its vectors
     # then ride into the three-line start; the nested order of five lines
-    # streams a four-line elimination and closes the pinned line last
+    # takes a four-line start and closes the pinned line last
     x = FIVE_POINT_X
     if case == "nested-5":
         parts = (1,) * 5
@@ -432,18 +432,27 @@ def test_pinned_recursion_matches_node_sweep_wide(case):
     assert full.mantissa.imag == 0.0 and coarse.mantissa.imag == 0.0
 
 
-def test_pinned_line_closing_among_four_grid_lines_refused(monkeypatch):
-    # 2+1+1+1+1 may close its pinned line with four grid lines open at the
-    # start, or three after an elimination: neither is a message the
-    # recursion forms, so the term is refused before any sum
-    sums = []
-    monkeypatch.setattr(quadrature, "_sum_orders", lambda *args: sums.append(args))
-    p = Partition((2, 1, 1, 1, 1))
-    x = FIVE_POINT_X + (-0.6,)
+SIX_POINT_X = FIVE_POINT_X + (-0.6,)
+FIVE_LINE_PINNED = [((2, 1, 1, 1, 1), SIX_POINT_X), ((3, 1, 1, 1, 1), SIX_POINT_X + (0.3,))]
+
+
+@pytest.mark.parametrize("parts,x", FIVE_LINE_PINNED,
+                         ids=["+".join(map(str, parts)) for parts, _ in FIVE_LINE_PINNED])
+def test_pinned_line_closing_among_four_grid_lines_matches_node_sweep(parts, x):
+    # on some paths the pinned line closes with four grid lines open at the
+    # start, its vectors riding into the four-line start, and on others with
+    # three open after an elimination, multiplying a three-line message
+    p = Partition(parts)
     plan = auto_cluster_plan(ORACLE_T, p, x, nodes=11)
-    with pytest.raises(ValueError, match="the pinned line 0 closes into state"):
-        integrate_tensor(cluster_integrand_batch(ORACLE_T, x, p), plan, 5)
-    assert not sums
+    re_parts = plan.theta + plan.epsilon * np.arange(p.length)
+    full, coarse, _ = _trapezoid_sums(cluster_integrand_batch(ORACLE_T, x, p), plan, p.length,
+                                      re_parts)
+    want_full, want_coarse = _node_sweep(
+        _centre_integrated(_cluster_values(ORACLE_T, x, p), ORACLE_T, x, parts), plan, re_parts,
+        pinned=True)
+    assert abs(full.to_complex() - want_full) <= 1e-12 * abs(want_full)
+    assert abs(coarse.to_complex() - want_coarse) <= 1e-12 * abs(want_coarse)
+    assert full.mantissa.imag == 0.0 and coarse.mantissa.imag == 0.0
 
 
 @pytest.mark.parametrize("pinned", [1, 2])
@@ -716,37 +725,26 @@ def test_cross_ratio_pole_refused_on_node_offsets(parts, key, nodes):
             f(Z)
 
 
-def test_four_singletons_take_four_four_line_eliminations(monkeypatch):
+def test_four_singletons_take_four_four_line_eliminations(eliminations):
     # 1+1+1+1 sums its 24 interleavings over the 2**4 subsets of open lines:
     # 4 four-line eliminations and 12 three-line ones per grid, not 24 of each
     graph = _placements((1, 1, 1, 1))
     assert len(graph.steps) == 16 and sum(map(len, graph.steps)) == 32
-    calls = []
-    four, three, two = quadrature._eliminate_four, quadrature._three_line_sink, quadrature._sum_out
-
-    def count(name, inner):
-        def counted(*args):
-            calls.append(name)
-            return inner(*args)
-        return counted
-
-    monkeypatch.setattr(quadrature, "_eliminate_four", count("four", four))
-    monkeypatch.setattr(quadrature, "_three_line_sink", count("three", three))
-    monkeypatch.setattr(quadrature, "_sum_out", count("fewer", two))
     p = Partition((1, 1, 1, 1))
     plan = auto_cluster_plan(ORACLE_T, p, ORACLE_X, nodes=11)
     integrate_tensor(cluster_integrand_batch(ORACLE_T, ORACLE_X, p, pinned=False), plan, 4)
-    assert calls.count("four") == 2 * 4  # full grid and coarse grid
-    assert calls.count("three") == 2 * 12
-    assert calls.count("fewer") == 2 * (12 + 4)  # two-line and one-line sum-outs
+    # full grid and coarse grid; then two-line and one-line sum-outs
+    assert eliminations == {("start", 4): 2 * 4, ("sum_out", 3): 2 * 12,
+                            ("sum_out", 2): 2 * 12, ("sum_out", 1): 2 * 4}
 
 
 @pytest.mark.parametrize("route", ["partition", "nested"])
-def test_four_line_recursion_forms_no_cube(route):
-    # every four-line elimination is streamed in cache-sized blocks of rows
-    # through the three-line sum-outs that consume it: the peak is blocks
-    # and N^2 tables and messages, well below one N^3 array.  The routes'
-    # terms pin a line, so the four grid lines are the oracle forms'
+def test_four_line_recursion_holds_one_three_line_message(route):
+    # each four-line start step's three-line message goes at once to the
+    # sum-outs that consume it, before the next step writes its own into the
+    # same array: the peak holds one N^3 message and its half-size operand,
+    # not one message per step.  The routes' terms pin a line, so the four
+    # grid lines are the oracle forms'
     n, x = 61, ORACLE_X
     p = Partition((1, 1, 1, 1))
     if route == "partition":
@@ -763,7 +761,7 @@ def test_four_line_recursion_forms_no_cube(route):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.6 * n**3 * 16
+    assert peak < 3 * n**3 * 16
 
 
 @pytest.mark.parametrize("case", ["partition", "nested"])
@@ -784,68 +782,29 @@ def test_default_four_point_plans_stay_small(case):
 
 
 def _factor(n, rng, flip):
-    """A random table factor (g, view) as _advance hands it on: oriented as
+    """A random table factor (g, view) as _operands hands it on: oriented as
     given, or flipped by reversing g and transposing its view."""
     g = rng.standard_normal(2 * n - 1) + 1j * rng.standard_normal(2 * n - 1)
     view = quadrature._toeplitz_table(g)
     return (g[::-1], view.T) if flip else (g, view)
 
 
-# 41 nodes: blocks of 9 rows, the last one ragged (5 rows)
-STREAM_N = 41
 SUM_OUT_SPECS = {0: "kpq", 1: "pkq", 2: "pqk"}
-
-
-def _sum_out_oracle(core, axis, v, facs):
-    near, far = (np.array(quadrature._square(f)) for f in facs)
-    return np.einsum(f"{SUM_OUT_SPECS[axis]},k,kp,kq->pq", core, v, near, far)
-
-
-@pytest.mark.parametrize("flips", [(False, False, False), (True, False, True),
-                                   (False, True, False)])
-def test_four_line_elimination_matches_dense_formula(flips):
-    # the streamed blocks, in order, make up the dense four-line result, and
-    # sum-outs on every axis that take them together, sharing the scratch
-    # array, each match the dense formula on it
-    n = STREAM_N
-    assert quadrature._block_rows(n) == 9
-    rng = np.random.default_rng(41)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    facs = [_factor(n, rng, flip) for flip in flips]
-    dense = [np.array(quadrature._square(f)) for f in facs]
-    want = np.einsum("d,da,db,dc->abc", v, *dense)
-    blocks = []
-    consumers = []
-    for axis in range(3):
-        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        sink_facs = [_factor(n, rng, flip) for flip in flips[:2]]
-        consumers.append((_sum_out_oracle(want, axis, u, sink_facs),
-                          *quadrature._three_line_sink(axis, u, sink_facs)))
-    sinks = [lambda a, block, scratch: blocks.append((a, block.copy()))]
-    quadrature._eliminate_four(v, facs, sinks + [take for *_, take in consumers])
-    assert [a for a, _ in blocks] == [0, 9, 18, 27, 36] and len(blocks[-1][1]) == 5
-    got = np.concatenate([block for _, block in blocks])
-    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-    for expect, out, _ in consumers:
-        assert np.abs(out - expect).max() <= 1e-14 * np.abs(expect).max()
 
 
 @pytest.mark.parametrize("axis", [0, 1, 2])
 @pytest.mark.parametrize("flips", [(False, False), (True, False), (False, True)])
 def test_three_line_sum_out_matches_dense_formula(axis, flips):
-    # a three-line message taken in the blocks of rows the four-line
-    # elimination streams, the last one ragged
-    n = STREAM_N
+    # summing any line out of a three-line message, with its tables to the
+    # other two lines in either orientation
+    n = 41
     rng = np.random.default_rng(axis)
     core = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     facs = [_factor(n, rng, flip) for flip in flips]
-    want = _sum_out_oracle(core, axis, v, facs)
-    rows = quadrature._block_rows(n)
-    scratch = np.empty((rows, n, n), dtype=complex)
-    got, take = quadrature._three_line_sink(axis, v, facs)
-    for a in range(0, n, rows):
-        take(a, core[a:a + rows], scratch)
+    near, far = (np.array(quadrature._square(f)) for f in facs)
+    want = np.einsum(f"{SUM_OUT_SPECS[axis]},k,kp,kq->pq", core, v, near, far)
+    got = quadrature._sum_out(core, axis, v, facs)
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -893,23 +852,35 @@ def test_grid_size_guard_before_work():
 
 
 _THREAD_PROBE = """
+import numpy as np
 from bosegas.cli import main
-from bosegas.moments import (MomentRequest, cluster_breakdown, combine_results,
-                             moment_nested_contours, moment_partition_sum)
+from bosegas.kernel import cluster_integrand_batch
+from bosegas.moments import (MomentRequest, _nested_integrand, auto_cluster_plan,
+                             auto_nested_plan, cluster_breakdown, combine_results,
+                             default_abscissas, moment_nested_contours, moment_partition_sum)
+from bosegas.partitions import Partition
+from bosegas.quadrature import integrate_tensor
 def show(r):
     print(repr(r.value.mantissa), repr(r.value.log_scale), repr(r.step_estimate))
 for req in (MomentRequest(0.8, (-0.4, 0.1, 0.7)), MomentRequest(1.0, (0.0,) * 4)):
     for route in (moment_partition_sum, moment_nested_contours):
         show(route(req))
-# the bench's n = 4 plans, whose three-line sum-outs end in a ragged block
+# the bench's n = 4 plans
 req = MomentRequest(1.0, (0.0,) * 4)
 show(combine_results(r for _, r in cluster_breakdown(req, nodes=35)))
 show(moment_nested_contours(req, nodes=53, half_width=6.5))
 main(["asymptotic-table", "--n", "2", "--t-list", "5"])
-# the default n = 4 plans (N = 69 and 95), whose four-line sums run in 23
-# blocks of 3 rows and 95 blocks of 1 row, every term's bits printed
+# the default n = 4 plans, every term's bits printed
 main(["moment", "--t", "1", "--n", "4"])
 main(["moment", "--t", "1", "--n", "4", "--route", "nested"])
+# four grid lines: the pinned nested order of five lines, and 2+1+1+1+1
+x = (-0.4, 0.1, 0.7, 1.0, 1.2)
+a = default_abscissas(5, 0.8, x)
+show(integrate_tensor(_nested_integrand(0.8, np.asarray(sorted(x))),
+                      auto_nested_plan(0.8, a, nodes=63), 5, abscissas=a))
+p, x = Partition((2, 1, 1, 1, 1)), x + (-0.6,)
+show(integrate_tensor(cluster_integrand_batch(0.8, x, p),
+                      auto_cluster_plan(0.8, p, x, nodes=63), 5))
 """
 
 
@@ -924,5 +895,5 @@ def test_blas_thread_count_invariance():
         proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
                               capture_output=True, text=True, timeout=300, check=True)
         outs.append(proc.stdout)
-    assert len(outs[0].splitlines()) == 8 + 7 + 2
+    assert len(outs[0].splitlines()) == 8 + 7 + 2 + 2
     assert outs[0] == outs[1]  # bit-identical, not approximately equal
